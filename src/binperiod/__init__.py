@@ -30,12 +30,10 @@ from .simulate import (
 )
 from .spectral import (
     GStatistic,
-    PeriodogramSet,
     fisher_g,
     fisher_g_batch,
-    in_set_A,
     num_frequencies,
-    periodogram,
+    periodogram_batch,
 )
 from .theory import (
     AsymptoticSummary,
@@ -58,7 +56,6 @@ __all__ = [
     "GStatistic",
     "PI_DIGITS",
     "PeriodicProfile",
-    "PeriodogramSet",
     "PowerEstimate",
     "PowerRegime",
     "ScenarioSpec",
@@ -71,12 +68,11 @@ __all__ = [
     "fisher_g",
     "fisher_g_batch",
     "fold",
-    "in_set_A",
     "limits_e",
     "limits_v",
     "num_frequencies",
     "p_value",
-    "periodogram",
+    "periodogram_batch",
     "predict_power_regime",
     "read_scenario",
     "read_series",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulldist import critical_value, p_value
-from .series import BinarySeries, fold, read_series
+from .series import BinarySeries, _line_tokens, fold, read_series
 from .simulate import (
     CSV_HEADER,
     TABLE_IDS,
@@ -152,10 +152,8 @@ def _cmd_pvalue(args) -> int:
 def _read_profile(path) -> PeriodicProfile:
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.lstrip().startswith("#"):
-                continue
-            values.extend(float(tok) for tok in line.replace(",", " ").split())
+        for _, line_tokens in _line_tokens(fh):
+            values.extend(float(tok) for tok in line_tokens)
     if not values:
         raise ValueError("empty profile")
     return PeriodicProfile(np.array(values))

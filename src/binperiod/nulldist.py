@@ -54,10 +54,13 @@ def tail(q: int, x: float) -> float:
     Terms are accumulated with error-free-transformation summation
     (``math.fsum``), so the alternating cancellation costs at most one
     rounding of the true sum. For q above ``Q_VALIDITY_CAP`` the one-term
-    approximation is returned instead, with a warning.
+    approximation is returned instead, with a warning. Both tails reject a
+    NaN ``x`` with ValueError; x = +-inf give 0 and 1.
     """
     _check_q(q)
     x = float(x)
+    if math.isnan(x):  # fails every comparison; the clamps would give 0 or 1
+        raise ValueError("statistic is NaN")
     if q > Q_VALIDITY_CAP:
         warnings.warn(
             f"exact tail is unreliable for q > {Q_VALIDITY_CAP}; "
@@ -95,6 +98,8 @@ def tail_approx(q: int, x: float) -> float:
     """One-term (j = 1) approximation q (1 - x)^{q-1}, clamped to [0, 1]."""
     _check_q(q)
     x = float(x)
+    if math.isnan(x):
+        raise ValueError("statistic is NaN")
     if x >= 1.0:
         return 0.0
     if x <= 0.0:

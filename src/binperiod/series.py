@@ -103,6 +103,14 @@ def fold(series: BinarySeries, d: int) -> FoldedSeries:
     return FoldedSeries(z=counts / blocks, d=d, blocks=blocks, n=n)
 
 
+def _line_tokens(fh):
+    """Yield (1-based line number, tokens split on commas and whitespace) per
+    line of ``fh``, skipping lines whose first non-blank character is ``#``."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.lstrip().startswith("#"):
+            yield lineno, line.replace(",", " ").split()
+
+
 def read_series(path) -> BinarySeries:
     """Parse a series file: 0/1 tokens split on whitespace or commas.
 
@@ -110,10 +118,8 @@ def read_series(path) -> BinarySeries:
     """
     tokens: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.lstrip().startswith("#"):
-                continue
-            for tok in line.replace(",", " ").split():
+        for lineno, line_tokens in _line_tokens(fh):
+            for tok in line_tokens:
                 if tok == "0":
                     tokens.append(0)
                 elif tok == "1":

@@ -13,24 +13,22 @@ even d) j = d/2 are deliberately excluded. The ratio statistic
 is undefined on the degenerate set A of vectors whose periodogram vanishes
 at all q frequencies (the constants, plus constant-plus-alternating vectors
 when d is even); there the guarded statistic is defined to be 0.
+Ordinates come from one real FFT per row, whose 0-based index adds only a
+unit phase: O(d log d) time and no cached state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "A_REL_TOL",
     "GStatistic",
-    "PeriodogramSet",
     "fisher_g",
     "fisher_g_batch",
-    "in_set_A",
     "num_frequencies",
-    "periodogram",
     "periodogram_batch",
 ]
 
@@ -42,18 +40,6 @@ A_REL_TOL = 1e-12
 def num_frequencies(d: int) -> int:
     """Number q = floor((d-1)/2) of usable Fourier frequencies."""
     return (d - 1) // 2
-
-
-@lru_cache(maxsize=None)
-def _basis(d: int) -> tuple[np.ndarray, np.ndarray]:
-    # Twiddle tables of shape (d, q); entry (l-1, j-1) is cos/sin of l*omega_j.
-    q = num_frequencies(d)
-    angles = 2.0 * np.pi * np.outer(np.arange(1, d + 1), np.arange(1, q + 1)) / d
-    cos_t = np.cos(angles)
-    sin_t = np.sin(angles)
-    cos_t.flags.writeable = False
-    sin_t.flags.writeable = False
-    return cos_t, sin_t
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -71,24 +57,8 @@ def periodogram_batch(x) -> np.ndarray:
     """Periodogram ordinates I(omega_1..omega_q) for each row of ``x``."""
     arr = _as_matrix(x)
     d = arr.shape[1]
-    cos_t, sin_t = _basis(d)
-    re = arr @ cos_t
-    im = arr @ sin_t
-    return (re * re + im * im) / d
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodogramSet:
-    """Ordinates I(omega_1)..I(omega_q) of a length-d vector."""
-
-    values: np.ndarray
-    d: int
-    q: int
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+    coef = np.fft.rfft(arr, axis=1)[:, 1 : num_frequencies(d) + 1]
+    return (coef.real**2 + coef.imag**2) / d
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,26 +75,10 @@ class GStatistic:
     degenerate: bool
 
 
-def periodogram(x) -> PeriodogramSet:
-    """Periodogram of one vector at the Fourier frequencies j = 1..q.
-
-    Matches a direct O(d^2) evaluation of the defining sum to relative
-    error below 1e-10; computed via precomputed twiddle tables in O(dq).
-    """
-    arr = _as_matrix(x)
-    if arr.shape[0] != 1:
-        raise ValueError("periodogram takes a single vector; see periodogram_batch")
-    d = arr.shape[1]
-    return PeriodogramSet(values=periodogram_batch(arr)[0], d=d, q=num_frequencies(d))
-
-
-def _a_threshold(d: int, energy) -> np.ndarray:
-    return A_REL_TOL * d * np.maximum(1.0, energy)
-
-
-# Ordinates this close to the maximum (relatively) count as tied; well above
-# the ~d*eps jitter of the twiddle-table evaluation, far below any
-# statistically meaningful separation.
+# Ordinates this close to the maximum (relatively) count as tied. FFT rounding
+# error is of order eps*log2(d) relative to the input energy; the equal
+# ordinates of a unit spike stay within 3e-15 of each other up to d = 20,000.
+# The tolerance is far below any statistically meaningful separation.
 _TIE_REL_TOL = 1e-13
 
 
@@ -143,7 +97,7 @@ def fisher_g_batch(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     near_peak = ordinates >= (peak * (1.0 - _TIE_REL_TOL))[:, None]
     argmax = near_peak.argmax(axis=1) + 1
     energy = np.einsum("ij,ij->i", arr, arr)
-    degenerate = total <= _a_threshold(d, energy)
+    degenerate = total <= A_REL_TOL * d * np.maximum(1.0, energy)
     # On A every ordinate is mathematically zero: all frequencies tie.
     argmax = np.where(degenerate, 1, argmax)
     values = np.where(degenerate, 0.0, peak / np.where(degenerate, 1.0, total))
@@ -158,14 +112,3 @@ def fisher_g(x) -> GStatistic:
         argmax_j=int(argmax[0]),
         degenerate=bool(degenerate[0]),
     )
-
-
-def in_set_A(x) -> bool:
-    """True iff the periodogram of ``x`` vanishes at all q frequencies.
-
-    Vanishing is judged against the energy-relative threshold
-    ``A_REL_TOL * d * max(1, sum x_l^2)``; the decision agrees exactly with
-    the ``degenerate`` flag of :func:`fisher_g`.
-    """
-    _, _, degenerate = fisher_g_batch(np.asarray(x, dtype=float)[None, :])
-    return bool(degenerate[0])

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import fisher_g, in_set_A
+from .spectral import fisher_g
 
 __all__ = [
     "AsymptoticSummary",
@@ -125,11 +125,13 @@ class AsymptoticSummary:
     """Limits and detectability diagnostics for one (profile, d) pair.
 
     ``detect_sum`` is the complex sufficiency certificate
-    sum_{k=1..r} e_k exp(-2 pi i k / b) (floor((d-k)/r) + 1); when its modulus
-    exceeds ``detect_tol`` (``detect_nonzero``), e is guaranteed to lie
-    outside A and the statistic converges to ``limit_g``. A modulus within
-    tolerance of zero is inconclusive, and classification falls back to the
-    direct membership test ``e_in_A``.
+    sum_{k=1..r} e_k exp(-2 pi i k / b) (floor((d-k)/r) + 1), the DFT of e at
+    frequency d/b. For b >= 3 a modulus above ``detect_tol``
+    (``detect_nonzero``) guarantees that e lies outside A and the statistic
+    converges to ``limit_g``. For b = 2 the sum is the excluded ordinate d/2
+    and certifies nothing: e is then constant plus alternating, so in A. A
+    modulus within tolerance of zero is inconclusive; ``e_in_A`` is always
+    the direct membership test.
     """
 
     e: np.ndarray
@@ -156,7 +158,7 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     b = math.gcd(r, d)
     e = limits_e(profile, d)
     v = limits_v(profile, d)
-    e_in = in_set_A(e)
+    g = fisher_g(e)
 
     # e at positions 1..r straight from the defining sum (equal to e[:r]
     # whenever r <= d, but also well defined for r > d).
@@ -171,22 +173,21 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     detect_tol = 1e-10 * math.fsum(abs(x) for x in e_head) * (d // r + 1)
     detect_nonzero = abs(detect_sum) > detect_tol
 
-    if r >= 3 and b > 1 and r <= d and detect_nonzero and e_in:
+    if b > 2 and r <= d and detect_nonzero and g.degenerate:
         raise RuntimeError(
             "inconsistent classification: detection sum is nonzero but the"
             " limit vector tested as degenerate"
         )
 
-    limit_g = None if e_in else float(fisher_g(e).value)
     return AsymptoticSummary(
         e=e,
         v=v,
         b=b,
-        e_in_A=e_in,
+        e_in_A=g.degenerate,
         detect_sum=detect_sum,
         detect_tol=detect_tol,
         detect_nonzero=detect_nonzero,
-        limit_g=limit_g,
+        limit_g=None if g.degenerate else g.value,
     )
 
 

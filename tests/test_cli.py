@@ -31,6 +31,13 @@ def sine_series_file(tmp_path):
     return path
 
 
+def test_pvalue_nan_is_a_clean_error(capsys):
+    code, out, err = run_cli(capsys, "pvalue", "29", "nan")
+    assert code == 2
+    assert out == ""
+    assert "error: statistic is NaN" in err
+
+
 def test_critval_command(capsys):
     code, out, _ = run_cli(capsys, "critval", "29", "0.05")
     assert code == 0
@@ -121,6 +128,16 @@ def test_theory_command(capsys, tmp_path):
     assert "regime: CONSISTENT" in out
     assert "limit_g = 1.0000" in out
     assert "e in A: no" in out
+
+
+def test_theory_command_shared_divisor_two(capsys, tmp_path):
+    # b = gcd(4, 6) = 2: e is constant plus alternating, so in A
+    path = tmp_path / "profile.txt"
+    path.write_text("0.3 0.4 0.5 0.6\n")
+    code, out, _ = run_cli(capsys, "theory", str(path), "--d", "6")
+    assert code == 0
+    assert "b=gcd(r,d)=2" in out
+    assert "e in A: yes" in out
 
 
 def test_theory_command_csv(capsys, tmp_path):

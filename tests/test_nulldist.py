@@ -90,6 +90,14 @@ def test_tail_above_validity_cap_falls_back():
     assert value == tail_approx(q, 0.05)
 
 
+def test_nan_statistic_is_rejected():
+    for f in (tail, tail_approx):
+        with pytest.raises(ValueError, match="NaN"):
+            f(29, float("nan"))
+        assert f(29, math.inf) == 0.0
+        assert f(29, -math.inf) == 1.0
+
+
 def test_invalid_q():
     with pytest.raises(ValueError, match="invalid q"):
         tail(0, 0.5)

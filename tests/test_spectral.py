@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from binperiod.spectral import (
     fisher_g,
     fisher_g_batch,
-    in_set_A,
     num_frequencies,
-    periodogram,
+    periodogram_batch,
 )
 
 
@@ -36,23 +35,23 @@ def test_q_counts():
 
 def test_rejects_too_short_vectors():
     with pytest.raises(ValueError, match="q would be 0"):
-        periodogram([1.0, 2.0])
+        periodogram_batch([1.0, 2.0])
 
 
 def test_single_spike_d4():
-    pgram = periodogram([1.0, 0.0, 0.0, 0.0])
-    assert pgram.q == 1
-    assert pgram.values[0] == pytest.approx(0.25, rel=1e-12)
+    values = periodogram_batch([1.0, 0.0, 0.0, 0.0])[0]
+    assert values.shape == (1,)
+    assert values[0] == pytest.approx(0.25, rel=1e-12)
 
 
 def test_cancelling_spikes_d4():
-    pgram = periodogram([1.0, 0.0, 1.0, 0.0])
-    assert pgram.values[0] == pytest.approx(0.0, abs=1e-15)
+    values = periodogram_batch([1.0, 0.0, 1.0, 0.0])[0]
+    assert values[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_constant_vector_vanishes():
     for d in (3, 4, 7, 12):
-        values = periodogram(np.full(d, 3.7)).values
+        values = periodogram_batch(np.full(d, 3.7))[0]
         assert np.all(values <= 1e-12)
 
 
@@ -61,25 +60,25 @@ def test_matches_brute_force_oracle():
     for d in range(3, 65):
         for _ in range(3):
             x = rng.normal(size=d)
-            fast = periodogram(x).values
+            fast = periodogram_batch(x)[0]
             slow = brute_force_periodogram(x)
             assert np.allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
 def test_in_set_A_examples():
-    assert in_set_A(np.full(9, 0.4))
+    assert fisher_g(np.full(9, 0.4)).degenerate
     # even d: constant plus alternating sign component
     d = 10
     signs = np.where(np.arange(1, d + 1) % 2 == 0, 1.0, -1.0)
-    assert in_set_A(1.3 + 0.4 * signs)
-    assert not in_set_A([1.0, 0.0, 0.0, 0.0])
+    assert fisher_g(1.3 + 0.4 * signs).degenerate
+    assert not fisher_g([1.0, 0.0, 0.0, 0.0]).degenerate
 
 
 def test_alternating_not_degenerate_for_odd_d():
     # For odd d the alternating pattern is off the Fourier grid.
     d = 9
     signs = np.where(np.arange(1, d + 1) % 2 == 0, 1.0, -1.0)
-    assert not in_set_A(0.5 + 0.25 * signs)
+    assert not fisher_g(0.5 + 0.25 * signs).degenerate
 
 
 def test_statistic_single_spike_d5():
@@ -108,16 +107,65 @@ def test_statistic_bounds_random():
         assert np.all((argmax >= 1) & (argmax <= q))
 
 
+def exactly_in_A(x):
+    """Membership in A by its definition: constant, or (even d) constant
+    plus alternating, i.e. constant on odd and on even positions."""
+    x = list(x)
+    if len(set(x)) == 1:
+        return True
+    return len(x) % 2 == 0 and len(set(x[0::2])) == 1 and len(set(x[1::2])) == 1
+
+
 def test_degenerate_flag_matches_set_membership():
     rng = np.random.default_rng(13)
-    for d in (4, 5, 12):
+    for d in (4, 5, 12, 101, 1000, 1001):
+        signs = np.where(np.arange(1, d + 1) % 2 == 0, 1.0, -1.0)
+        counts = rng.integers(0, 21, size=d)
         candidates = [
             np.full(d, 0.3),
             rng.normal(size=d),
-            2.0 + 0.1 * np.where(np.arange(1, d + 1) % 2 == 0, 1.0, -1.0),
+            2.0 + 0.1 * signs,
+            counts / 20.0,
+            np.where(signs > 0, 7.0, 13.0) / 20.0,
+            np.r_[np.full(d - 1, 0.45), 0.5],
         ]
         for x in candidates:
-            assert in_set_A(x) == fisher_g(x).degenerate
+            assert fisher_g(x).degenerate == exactly_in_A(x), (d, x[:4])
+
+
+def direct_periodogram(x):
+    """Defining O(d q) sum with each angle reduced mod d before rounding."""
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    q = num_frequencies(d)
+    phase = np.outer(np.arange(1, d + 1), np.arange(1, q + 1)) % d
+    roots = np.exp(-2j * np.pi * np.arange(d) / d)
+    s = (x[:, None] * roots[phase]).sum(axis=0)
+    return (s.real**2 + s.imag**2) / d
+
+
+@pytest.mark.parametrize("d", [997, 1000, 1001, 2520])
+def test_fft_matches_direct_sum_at_large_d(d):
+    rng = np.random.default_rng(d)
+    rows = np.stack([rng.normal(size=d), rng.integers(0, 21, size=d) / 20.0])
+    fast = periodogram_batch(rows)
+    assert fast.shape == (2, num_frequencies(d))
+    for x, got in zip(rows, fast):
+        assert np.allclose(got, direct_periodogram(x), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [101, 1000, 2520])
+def test_unit_spike_ties_resolve_to_first_frequency(d):
+    # Every ordinate of a unit spike is exactly 1/d; rounding must not split
+    # the tie, wherever the spike sits.
+    q = num_frequencies(d)
+    for pos in (0, 1, d // 3, d // 2, d - 1):
+        x = np.zeros(d)
+        x[pos] = 1.0
+        stat = fisher_g(x)
+        assert stat.argmax_j == 1, pos
+        assert stat.value == pytest.approx(1.0 / q, rel=1e-12)
+        assert not stat.degenerate
 
 
 def _spectral_atol(*ordinate_sets):
@@ -138,8 +186,8 @@ vector_st = st.integers(3, 16).flatmap(
 @settings(max_examples=200)
 def test_shift_invariance(x, c):
     x = np.array(x)
-    base = periodogram(x).values
-    shifted = periodogram(x + c).values
+    base = periodogram_batch(x)[0]
+    shifted = periodogram_batch(x + c)[0]
     atol = _spectral_atol(base, shifted)
     assert np.all(np.abs(base - shifted) <= atol)
 
@@ -148,7 +196,7 @@ def test_shift_invariance(x, c):
 @settings(max_examples=200)
 def test_scale_invariance(x, c):
     x = np.array(x)
-    assume(periodogram(x).values.sum() > 1e-6 * max(1.0, float(x @ x)))
+    assume(periodogram_batch(x)[0].sum() > 1e-6 * max(1.0, float(x @ x)))
     assert abs(fisher_g(c * x).value - fisher_g(x).value) <= 1e-12
 
 
@@ -163,7 +211,7 @@ def test_affine_recentering_invariance(x, a, b, c):
     # Recentring by any member of A and rescaling never moves the statistic.
     x = np.array(x)
     d = x.size
-    assume(periodogram(x).values.sum() > 1e-6 * max(1.0, float(x @ x)))
+    assume(periodogram_batch(x)[0].sum() > 1e-6 * max(1.0, float(x @ x)))
     signs = np.where(np.arange(1, d + 1) % 2 == 0, 1.0, -1.0)
     e = a + (b * signs if d % 2 == 0 else 0.0)
     before = fisher_g(x)

@@ -117,6 +117,18 @@ def test_detectability_period_two():
         assert summary.limit_g is None
 
 
+def test_detectability_never_raises_on_small_grid():
+    # For b = 2 the detection sum is the excluded ordinate d/2, so a nonzero
+    # sum next to e in A is consistent; for a linear profile e is in A
+    # exactly when b <= 2.
+    for r in range(1, 25):
+        profile = PeriodicProfile(np.linspace(0.3, 0.7, r))
+        for d in range(3, 25):
+            summary = detectability(profile, d)
+            assert summary.e_in_A == (summary.b <= 2), (r, d)
+            assert (summary.limit_g is None) == summary.e_in_A, (r, d)
+
+
 def test_regimes():
     assert predict_power_regime(PeriodicProfile([0.4]), 12) is PowerRegime.NULL_LIKE
     assert predict_power_regime(PeriodicProfile([0.2, 0.6]), 60) is PowerRegime.R2_LIMIT
