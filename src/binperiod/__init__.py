@@ -15,7 +15,7 @@ from .nulldist import (
     tail,
     tail_approx,
 )
-from .rng import substream
+from .rng import replication_stream, substream
 from .series import BinarySeries, FoldedSeries, fold, read_series, validate, write_series
 from .simulate import (
     PI_DIGITS,
@@ -76,6 +76,7 @@ __all__ = [
     "predict_power_regime",
     "read_scenario",
     "read_series",
+    "replication_stream",
     "run_table",
     "run_test",
     "sample_limit_statistic",

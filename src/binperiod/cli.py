@@ -152,8 +152,15 @@ def _cmd_pvalue(args) -> int:
 def _read_profile(path) -> PeriodicProfile:
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for _, line_tokens in _line_tokens(fh):
-            values.extend(float(tok) for tok in line_tokens)
+        for lineno, line_tokens in _line_tokens(fh):
+            for tok in line_tokens:
+                try:
+                    values.append(float(tok))
+                except ValueError:
+                    raise ValueError(
+                        f"not a number at position {len(values) + 1}"
+                        f" (line {lineno}: {tok!r})"
+                    ) from None
     if not values:
         raise ValueError("empty profile")
     return PeriodicProfile(np.array(values))

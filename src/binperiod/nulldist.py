@@ -188,6 +188,8 @@ def sample_limit_statistic(
         raise ValueError("invalid weight")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     out = np.empty(count)
     normals = np.empty((min(chunk, count), d))
     start = 0

@@ -1,25 +1,52 @@
-"""Per-index random streams for reproducible, order-independent replication."""
+"""Counter-based random streams for reproducible, order-independent replication.
+
+Every stream is a Philox-4x64 generator keyed by a pair ``(seed, index)``;
+each counter value yields four 64-bit words, i.e. four uniform doubles.
+
+* Monte Carlo replications (:func:`replication_stream`): a run has the one
+  key ``(seed, 0)``, and replication k of width w (the uniforms it consumes)
+  owns the counter block ``[k*c, (k+1)*c)`` with ``c = ceil(w/4)``. A batch
+  of m replications is one ``random((m, block_words(w)))`` draw, any
+  replication can be replayed alone, and results cannot depend on chunking.
+* Limit-law draws (:func:`substream`): draw k has its own key ``(seed, k)``,
+  because ziggurat normals consume a variable number of words and so cannot
+  own fixed counter blocks.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream"]
+__all__ = ["block_words", "replication_stream", "substream"]
 
 _UINT64_MAX = 2**64
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Return an independent generator for replication ``index`` of run ``seed``.
-
-    Streams are keyed, not jumped: the Philox-4x64 counter-based bit generator
-    takes a 128-bit key, and we use the pair ``(seed, index)`` verbatim. Any
-    replication can therefore be reproduced in isolation, and aggregate results
-    cannot depend on scheduling or chunking order.
-    """
+    """Return the independent generator keyed by ``(seed, index)``."""
     if not 0 <= seed < _UINT64_MAX:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if not 0 <= index < _UINT64_MAX:
         raise ValueError("index must fit in an unsigned 64-bit integer")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def block_words(width: int) -> int:
+    """Doubles in the counter block of a replication of ``width`` uniforms."""
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    return -(-width // 4) * 4
+
+
+def replication_stream(seed: int, index: int, width: int) -> np.random.Generator:
+    """Return run ``seed``'s generator advanced to replication ``index``.
+
+    Its first ``width`` uniforms are that replication's; further draws
+    continue into the blocks of the replications that follow.
+    """
+    if not 0 <= index < _UINT64_MAX:
+        raise ValueError("index must fit in an unsigned 64-bit integer")
+    gen = substream(seed, 0)
+    gen.bit_generator.advance(index * (block_words(width) // 4))
+    return gen

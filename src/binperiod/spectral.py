@@ -88,15 +88,21 @@ def fisher_g_batch(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(values, argmax_j, degenerate)``; argmax indices are 1-based,
     and ties (up to relative ``_TIE_REL_TOL``, so that mathematically equal
     ordinates compare equal despite rounding) resolve to the smallest j.
+    A row with a NaN or infinite entry (or one whose squares overflow) raises
+    ``ValueError``.
     """
     arr = _as_matrix(x)
     d = arr.shape[1]
+    # energy is NaN or inf exactly where a row has a NaN or infinite entry or
+    # its squares overflow, so the check reads one value per row.
+    energy = np.einsum("ij,ij->i", arr, arr)
+    if not np.isfinite(energy).all():
+        raise ValueError("input has a NaN or infinite value, or overflows when squared")
     ordinates = periodogram_batch(arr)
     total = ordinates.sum(axis=1)
     peak = ordinates.max(axis=1)
     near_peak = ordinates >= (peak * (1.0 - _TIE_REL_TOL))[:, None]
     argmax = near_peak.argmax(axis=1) + 1
-    energy = np.einsum("ij,ij->i", arr, arr)
     degenerate = total <= A_REL_TOL * d * np.maximum(1.0, energy)
     # On A every ordinate is mathematically zero: all frequencies tie.
     argmax = np.where(degenerate, 1, argmax)

@@ -140,6 +140,15 @@ def test_theory_command_shared_divisor_two(capsys, tmp_path):
     assert "e in A: yes" in out
 
 
+def test_theory_bad_profile_token_names_line_and_position(capsys, tmp_path):
+    path = tmp_path / "profile.txt"
+    path.write_text("# profile\n0.2 0.5\n0.8 abc\n")
+    code, out, err = run_cli(capsys, "theory", str(path), "--d", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: not a number at position 4 (line 3: 'abc')\n"
+
+
 def test_theory_command_csv(capsys, tmp_path):
     path = tmp_path / "profile.txt"
     path.write_text("0.2, 0.6\n")

@@ -200,6 +200,12 @@ def test_sampler_validates_weights():
         sample_limit_statistic(5, np.ones(5), 0)
 
 
+def test_sampler_rejects_empty_chunks():
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            sample_limit_statistic(5, np.ones(5), 3, chunk=chunk)
+
+
 def test_sampler_matches_tail_for_equal_weights():
     # With unit weights the draws follow the closed-form null law exactly.
     d, q, count = 11, 5, 20000

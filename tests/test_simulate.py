@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from binperiod.rng import substream
+from binperiod.nulldist import critical_value
+from binperiod.rng import block_words, replication_stream, substream
+from binperiod.series import BinarySeries, fold
 from binperiod.simulate import (
     CSV_HEADER,
     PI_DIGITS,
@@ -17,6 +21,7 @@ from binperiod.simulate import (
     simulate_series,
     table_specs,
 )
+from binperiod.spectral import fisher_g, num_frequencies
 from binperiod.theory import PeriodicProfile
 
 
@@ -112,19 +117,80 @@ def test_simulate_series_deterministic():
 
 
 def test_estimate_power_deterministic_and_chunk_independent():
-    spec = ScenarioSpec(
-        kind="PI_DIGITS", length=120, n=120, d=12, replications=300, seed=11
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        first = estimate_power(spec)
-        second = estimate_power(spec)
-        odd_chunks = estimate_power(spec, chunk=7)
-    assert first.rejections == second.rejections == odd_chunks.rejections
-    assert first.rate == first.rejections / spec.replications
-    assert first.std_error == pytest.approx(
-        math.sqrt(first.rate * (1 - first.rate) / spec.replications)
-    )
+    # n = 120 fills whole counter blocks; n = 122 leaves two words of padding
+    # per replication (n = 244 for RANDOM_IID); chunk 1 is one row a batch.
+    specs = [
+        ScenarioSpec(kind="PI_DIGITS", length=120, n=120, d=12, replications=300, seed=11),
+        ScenarioSpec(kind="ARITH_STEP", r=4, step=0.2, n=122, d=12, replications=300, seed=11),
+        ScenarioSpec(kind="RANDOM_IID", n=122, d=12, replications=300, seed=11),
+    ]
+    for spec in specs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            first = estimate_power(spec)
+            second = estimate_power(spec)
+            others = [estimate_power(spec, chunk=c).rejections for c in (1, 3, 7)]
+        assert first.rejections == second.rejections
+        assert others == [first.rejections] * 3
+        assert first.rate == first.rejections / spec.replications
+        assert first.std_error == pytest.approx(
+            math.sqrt(first.rate * (1 - first.rate) / spec.replications)
+        )
+
+
+def test_estimate_power_rejects_empty_chunks():
+    spec = ScenarioSpec(kind="CONSTANT", p1=0.5, n=60, d=6, replications=10)
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            estimate_power(spec, chunk=chunk)
+
+
+@pytest.mark.parametrize("width", [1, 5, 122, 244])
+def test_replication_blocks_tile_one_stream(width):
+    words = block_words(width)
+    assert words % 4 == 0 and width <= words < width + 4
+    rows = replication_stream(3, 0, width).random((6, words))
+    for k in range(6):
+        assert np.array_equal(replication_stream(3, k, width).random(width), rows[k, :width])
+
+
+@pytest.mark.parametrize("kind", ["ARITH_STEP", "RANDOM_IID"])
+def test_replication_replays_alone(kind):
+    spec = ScenarioSpec(kind=kind, r=4, step=0.2, n=122, d=12, replications=60, seed=6)
+    k_alpha = critical_value(num_frequencies(spec.d), spec.alpha).approx
+    profile = None if kind == "RANDOM_IID" else build_profile(spec)
+    decisions = []
+    for k in range(spec.replications):
+        if kind == "RANDOM_IID":
+            rng = replication_stream(spec.seed, k, 2 * spec.n)
+            probs = rng.random(spec.n)
+            series = BinarySeries((rng.random(spec.n) < probs).astype(np.int8))
+        else:
+            rng = replication_stream(spec.seed, k, spec.n)
+            series = simulate_series(profile, spec.n, rng)
+        decisions.append(int(fisher_g(fold(series, spec.d).z).value > k_alpha))
+    assert 0 < sum(decisions) < len(decisions)
+    # Every prefix of a run is the shorter run, so the running counts pin
+    # each replication's decision, not only their sum.
+    prefix_counts = [
+        estimate_power(replace(spec, replications=m)).rejections
+        for m in range(1, spec.replications + 1)
+    ]
+    assert prefix_counts == np.cumsum(decisions).tolist()
+    assert prefix_counts[-1] == estimate_power(spec).rejections
+
+
+def test_estimate_power_working_set_is_bounded():
+    # One RANDOM_IID replication at n = 10^5 is 2*10^5 doubles (1.6 MB); a
+    # batch of all 16 rows at once would hold 25.6 MB.
+    spec = ScenarioSpec(kind="RANDOM_IID", n=100_000, d=60, replications=16, seed=1)
+    tracemalloc.start()
+    try:
+        estimate_power(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_null_level_is_close_to_alpha():

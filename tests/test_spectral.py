@@ -38,6 +38,17 @@ def test_rejects_too_short_vectors():
         periodogram_batch([1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_row_is_rejected(bad):
+    batch = np.ones((3, 5))
+    batch[0] = [1.0, 0.0, 0.0, 0.0, 1.0]
+    batch[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        fisher_g_batch(batch)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        fisher_g(batch[1])
+
+
 def test_single_spike_d4():
     values = periodogram_batch([1.0, 0.0, 0.0, 0.0])[0]
     assert values.shape == (1,)
