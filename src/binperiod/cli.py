@@ -13,6 +13,7 @@ from .series import BinarySeries, _line_tokens, fold, read_series
 from .simulate import (
     CSV_HEADER,
     TABLE_IDS,
+    _fmt,
     estimate_csv_row,
     estimate_power,
     format_table_text,
@@ -75,10 +76,6 @@ def run_test(series: BinarySeries, d: int, alpha: float = 0.05) -> TestReport:
         decision="reject" if stat.value > crit.approx else "accept",
         decision_exact="reject" if stat.value > crit.exact else "accept",
     )
-
-
-def _fmt(x: float, full: bool) -> str:
-    return repr(float(x)) if full else f"{x:.4f}"
 
 
 def _cmd_test(args) -> int:

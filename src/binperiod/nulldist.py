@@ -1,7 +1,7 @@
 """Null law of the max-over-sum periodogram ratio: tail, p-values, quantiles.
 
 For q i.i.d. exponential periodogram ordinates (white Gaussian noise input)
-the survival function of the ratio statistic has the closed form
+the survival function of the ratio statistic has Fisher's (1929) closed form
 
     P(g >= x) = sum_{j=1..q} (-1)^{j+1} C(q, j) (1 - j x)_+^{q-1},
 
@@ -9,13 +9,15 @@ supported on [1/q, 1]. Critical values solve P(g >= k) = alpha; the classical
 practical shortcut keeps only the j = 1 summand and solves
 q (1 - x)^{q-1} = alpha in closed form. Both routes are exposed because the
 alternating sum and its one-term approximation differ visibly in the fourth
-decimal at conventional levels.
+decimal at conventional levels. The alternating sum has one float path for
+every q, with no cap, certified by a bound on its own rounding; where the
+bound fails, ``decimal`` takes it.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ from .spectral import GStatistic, fisher_g_batch
 __all__ = [
     "BISECTION_TOL",
     "CriticalValue",
-    "Q_VALIDITY_CAP",
     "critical_value",
     "p_value",
     "sample_limit_statistic",
@@ -34,12 +35,6 @@ __all__ = [
     "tail_approx",
 ]
 
-# Exact integer binomials below this q; log-domain terms above.
-_BINOM_EXACT_MAX = 50
-# The alternating sum loses float accuracy for very large q; beyond the cap we
-# fall back to the one-term approximation with a warning. Practical use has
-# q of a few tens.
-Q_VALIDITY_CAP = 500
 BISECTION_TOL = 1e-10
 
 
@@ -51,47 +46,54 @@ def _check_q(q: int) -> None:
 def tail(q: int, x: float) -> float:
     """Exact survival probability P(g >= x) under the null, clamped to [0, 1].
 
-    Terms are accumulated with error-free-transformation summation
-    (``math.fsum``), so the alternating cancellation costs at most one
-    rounding of the true sum. For q above ``Q_VALIDITY_CAP`` the one-term
-    approximation is returned instead, with a warning. Both tails reject a
-    NaN ``x`` with ValueError; x = +-inf give 0 and 1.
+    The float sum (``math.fsum``) is returned when a bound on its rounding,
+    about q * eps times the sum of |terms|, is within 1e-10 of it; otherwise
+    the sum is taken in ``decimal`` with 30 digits beyond the size of its terms.
+    Both tails reject a NaN ``x`` with ValueError; x = +-inf give 0 and 1.
     """
     _check_q(q)
     x = float(x)
     if math.isnan(x):  # fails every comparison; the clamps would give 0 or 1
         raise ValueError("statistic is NaN")
-    if q > Q_VALIDITY_CAP:
-        warnings.warn(
-            f"exact tail is unreliable for q > {Q_VALIDITY_CAP}; "
-            "falling back to the one-term approximation",
-            stacklevel=2,
-        )
-        return tail_approx(q, x)
     if x >= 1.0:
         return 0.0
-    if x * q <= 1.0:
-        # The statistic is the maximum over q ordinates divided by their sum,
-        # so its support is [1/q, 1]: below it the tail is exactly one. The
-        # alternating sum would only recover this up to heavy cancellation.
+    if x * q <= 1.0 or (x * q < 2.0 and (x * q - 1.0) ** (q - 1) < 2.0**-55):
+        # g is the largest coordinate of a uniform point on the simplex; points
+        # with all coordinates below x map into it by u -> (x - u) / (qx - 1),
+        # so P(g < x) <= (qx - 1)^(q-1); below 2^-55 the tail rounds to 1.0.
         return 1.0
-    power = q - 1
-    terms = []
-    for j in range(1, q + 1):
-        base = 1.0 - j * x
-        if base <= 0.0:
-            break
-        if q <= _BINOM_EXACT_MAX:
-            term = math.comb(q, j) * base**power
-        else:
-            term = math.exp(_log_comb(q, j) + power * math.log(base))
-        terms.append(term if j % 2 == 1 else -term)
+    power, terms, size, comb = q - 1, [], 0.0, 1
+    try:
+        for j in range(1, q + 1):
+            base = 1.0 - j * x
+            if base <= 0.0:
+                break
+            comb = comb * (q - j + 1) // j
+            p = base**power
+            term = comb * p  # OverflowError once C(q, j) > float max
+            size += term / base
+            terms.append(term if j % 2 else -term)
+    except OverflowError:
+        size = math.inf
+    # Term j carries (q - 1) u / base_j from its base (1 - j x is off by one
+    # rounding of 1) and four roundings u, fsum one more; 2^-52 = 2u doubles it.
     total = math.fsum(terms)
-    return min(1.0, max(0.0, total))
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    bound = (q + 3) * 2**-52 * size
+    if p < 2.0**-1022:  # underflowed powers: 2^(q-1074) in all, held at 1 (fails)
+        bound += math.ldexp(1.0, min(q - 1074, 0))
+    if bound <= 1e-10 * total:
+        return min(1.0, total)
+    with decimal.localcontext() as ctx:
+        # The terms sum to at most (1 + e^{-x (q-1)})^q, as 1 - y <= e^{-y}.
+        ctx.prec = 30 + math.ceil(q * math.log10(1.0 + math.exp(-x * power)))
+        total, dx, comb = 0, decimal.Decimal(x), 1
+        for j in range(1, q + 1):
+            base = 1 - j * dx
+            if base <= 0:
+                break
+            comb = comb * (q - j + 1) // j
+            total += (comb if j % 2 else -comb) * base**power
+    return min(1.0, max(0.0, float(total)))
 
 
 def tail_approx(q: int, x: float) -> float:

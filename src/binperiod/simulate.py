@@ -288,15 +288,16 @@ def run_table(table_id: str, replications: int = 20000, seed: int = 0) -> list[P
 CSV_HEADER = "scenario,r,n,d,alpha,replications,rejections,rate,std_error"
 
 
+def _fmt(x: float, full: bool) -> str:
+    return repr(float(x)) if full else f"{x:.4f}"
+
+
 def estimate_csv_row(est: PowerEstimate, full_precision: bool = False) -> str:
     spec = est.scenario
-    if full_precision:
-        rate, se = repr(est.rate), repr(est.std_error)
-    else:
-        rate, se = f"{est.rate:.4f}", f"{est.std_error:.4f}"
     return (
         f"{spec.label()},{spec.profile_period()},{spec.n},{spec.d},{spec.alpha:g},"
-        f"{spec.replications},{est.rejections},{rate},{se}"
+        f"{spec.replications},{est.rejections},{_fmt(est.rate, full_precision)},"
+        f"{_fmt(est.std_error, full_precision)}"
     )
 
 
@@ -304,19 +305,19 @@ def format_table_text(estimates: list[PowerEstimate], full_precision: bool = Fal
     lines = []
     width = max(len(e.scenario.label()) for e in estimates)
     for est in estimates:
-        if full_precision:
-            rate, se = repr(est.rate), repr(est.std_error)
-        else:
-            rate, se = f"{est.rate:.4f}", f"{est.std_error:.4f}"
         lines.append(
-            f"{est.scenario.label():<{width}}  rate={rate}  se={se}"
+            f"{est.scenario.label():<{width}}  rate={_fmt(est.rate, full_precision)}"
+            f"  se={_fmt(est.std_error, full_precision)}"
             f"  rejections={est.rejections}/{est.scenario.replications}"
         )
     return "\n".join(lines)
 
 
-_SCENARIO_INT_KEYS = ("n", "d", "replications", "seed", "r", "length")
-_SCENARIO_FLOAT_KEYS = ("alpha", "p1", "step", "mean", "p_lo", "p_hi")
+_SCENARIO_KEYS = {
+    "kind": str.upper,
+    **dict.fromkeys(("n", "d", "replications", "seed", "r", "length"), int),
+    **dict.fromkeys(("alpha", "p1", "step", "mean", "p_lo", "p_hi"), float),
+}
 
 
 def read_scenario(path) -> ScenarioSpec:
@@ -324,8 +325,8 @@ def read_scenario(path) -> ScenarioSpec:
 
     One ``key = value`` pair per line (``:`` also accepted); ``#`` lines are
     comments. Keys: kind, n, d, alpha, replications, seed, p1, r, step, mean,
-    p_lo, p_hi, length. Which of the kind-specific keys are required follows
-    :class:`ScenarioSpec`.
+    p_lo, p_hi, length, each at most once. Which of the kind-specific keys are
+    required follows :class:`ScenarioSpec`.
     """
     fields: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -339,14 +340,14 @@ def read_scenario(path) -> ScenarioSpec:
             key, _, value = line.partition(sep)
             key = key.strip().lower()
             value = value.strip()
-            if key == "kind":
-                fields["kind"] = value.upper()
-            elif key in _SCENARIO_INT_KEYS:
-                fields[key] = int(value)
-            elif key in _SCENARIO_FLOAT_KEYS:
-                fields[key] = float(value)
-            else:
+            if key not in _SCENARIO_KEYS:
                 raise ValueError(f"line {lineno}: unknown scenario key {key!r}")
+            if key in fields:
+                raise ValueError(f"line {lineno}: repeated scenario key {key!r}")
+            try:
+                fields[key] = _SCENARIO_KEYS[key](value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: cannot read {key} = {value!r}") from None
     for required in ("kind", "n", "d"):
         if required not in fields:
             raise ValueError(f"scenario file is missing {required!r}")

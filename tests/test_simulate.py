@@ -281,6 +281,20 @@ def test_scenario_file_unknown_key(tmp_path):
         read_scenario(path)
 
 
+def test_scenario_file_bad_value_names_line_and_key(tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text("kind = constant\np1 = 0.5\nn = 60\nd = sixty\n")
+    with pytest.raises(ValueError, match="line 4: cannot read d = 'sixty'"):
+        read_scenario(path)
+
+
+def test_scenario_file_repeated_key(tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text("kind = constant\np1 = 0.5\nn = 60\nd = 60\nd = 12\n")
+    with pytest.raises(ValueError, match="line 5: repeated scenario key 'd'"):
+        read_scenario(path)
+
+
 def test_scenario_file_missing_required(tmp_path):
     path = tmp_path / "scenario.txt"
     path.write_text("kind = constant\np1 = 0.5\nd = 6\n")
