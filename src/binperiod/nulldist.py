@@ -141,6 +141,14 @@ class CriticalValue:
     approx: float
 
 
+def _approx_critical_value(q: int, alpha: float) -> float:
+    """The one-term critical value 1 - (alpha/q)^{1/(q-1)}, or 1 for q = 1."""
+    _check_q(q)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("invalid level")
+    return 1.0 if q == 1 else 1.0 - (alpha / q) ** (1.0 / (q - 1))
+
+
 def critical_value(q: int, alpha: float) -> CriticalValue:
     """Critical value k with P(g >= k) = alpha.
 
@@ -150,11 +158,9 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     ``approx`` is the closed form 1 - (alpha/q)^{1/(q-1)} for q >= 2. For
     q = 1 the statistic is identically 1, so both values are 1.
     """
-    _check_q(q)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("invalid level")
+    approx = _approx_critical_value(q, alpha)
     if q == 1:
-        return CriticalValue(q=1, alpha=alpha, exact=1.0, approx=1.0)
+        return CriticalValue(q=1, alpha=alpha, exact=1.0, approx=approx)
     lo, hi = 1.0 / q, 1.0
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
@@ -163,7 +169,6 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
         else:
             hi = mid
     exact = 0.5 * (lo + hi)
-    approx = 1.0 - (alpha / q) ** (1.0 / (q - 1))
     return CriticalValue(q=q, alpha=alpha, exact=exact, approx=approx)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +112,62 @@ def _line_tokens(fh):
             yield lineno, line.replace(",", " ").split()
 
 
-def read_series(path) -> BinarySeries:
-    """Parse a series file: 0/1 tokens split on whitespace or commas.
+# The ASCII characters ``str.split`` splits on (``str.isspace``); the token
+# format also separates tokens by commas.
+_BLANKS = b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+_SEPARATORS = _BLANKS + b","
+_LINE_END = re.compile(rb"[\n\r]")
 
-    Lines whose first non-blank character is ``#`` are ignored.
+
+def _strip_comments(data: bytes) -> bytes | None:
+    """``data`` with its comment lines cut out, or None if a ``#`` starts none.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in text mode. A ``#`` that
+    does not start a comment belongs to a token, which is then not 0 or 1.
     """
+    parts = []
+    pos = 0
+    hash_at = data.find(b"#")
+    while hash_at >= 0:
+        # Every search stops at the previous comment or at the end of this
+        # line, so the scan stays one pass however many comments there are.
+        start = max(
+            pos,
+            data.rfind(b"\n", pos, hash_at) + 1,
+            data.rfind(b"\r", pos, hash_at) + 1,
+        )
+        if data[start:hash_at].translate(None, _BLANKS):
+            return None
+        line_end = _LINE_END.search(data, hash_at)
+        end = len(data) if line_end is None else line_end.start()
+        parts.append(data[pos:start])
+        pos = end
+        hash_at = data.find(b"#", end)
+    parts.append(data[pos:])
+    return b"".join(parts)
+
+
+def _ascii_bits(data: bytes) -> np.ndarray | None:
+    """The 0/1 values of an ASCII series file of one-character tokens, or None
+    when the file is not ASCII or holds any other token."""
+    if not data.isascii():
+        return None
+    data = _strip_comments(data)
+    if data is None:
+        return None
+    # A longer token has two adjacent 0/1 bytes, or a byte that is neither a
+    # separator nor 0/1 and so survives the deletion of the separators.
+    digit = np.frombuffer(data, dtype=np.uint8) - ord("0") < 2
+    if np.any(digit[1:] & digit[:-1]):
+        return None
+    bits = np.frombuffer(data.translate(None, _SEPARATORS), dtype=np.uint8) - ord("0")
+    if np.any(bits > 1):
+        return None
+    return bits
+
+
+def _token_bits(path) -> np.ndarray:
+    """The series read token by token; names the first bad token."""
     tokens: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line_tokens in _line_tokens(fh):
@@ -129,16 +181,34 @@ def read_series(path) -> BinarySeries:
                         f"value out of alphabet at position {len(tokens) + 1}"
                         f" (line {lineno}: {tok!r})"
                     )
-    if not tokens:
-        raise ValueError("empty series")
-    return BinarySeries(np.array(tokens, dtype=np.int8))
+    return np.array(tokens, dtype=np.int8)
+
+
+def read_series(path) -> BinarySeries:
+    """Parse a series file: 0/1 tokens split on whitespace or commas.
+
+    Lines whose first non-blank character is ``#`` are ignored. An ASCII file
+    is read in one pass over its bytes; any other file, and any file that
+    pass rejects, is read token by token, so a bad token is named by position
+    and line.
+    """
+    with open(path, "rb") as fh:
+        bits = _ascii_bits(fh.read())
+    if bits is None:
+        bits = _token_bits(path)
+    return BinarySeries(bits)
 
 
 def write_series(path, series: BinarySeries, per_line: int = 60) -> None:
-    """Write a series in the plain-text token format accepted by read_series."""
+    """Write a series in the plain-text token format accepted by read_series:
+    tokens separated by spaces, ``per_line`` to a line, each line ended by a
+    newline."""
+    if per_line < 1:
+        raise ValueError("per_line must be >= 1")
     vals = series.values
+    text = np.full(2 * vals.size, ord(" "), dtype=np.uint8)
+    text[0::2] = vals + ord("0")
+    text[2 * per_line - 1 :: 2 * per_line] = ord("\n")
+    text[-1] = ord("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, vals.size, per_line):
-            chunk = vals[start : start + per_line]
-            fh.write(" ".join(str(int(v)) for v in chunk))
-            fh.write("\n")
+        fh.write(text.tobytes().decode("ascii"))

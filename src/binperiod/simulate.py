@@ -8,7 +8,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .nulldist import critical_value
+from .nulldist import _approx_critical_value
 from .rng import block_words, replication_stream
 from .series import BinarySeries
 from .spectral import fisher_g_batch, num_frequencies
@@ -195,7 +195,7 @@ def estimate_power(spec: ScenarioSpec, chunk: int = 1024) -> PowerEstimate:
         raise ValueError("chunk must be >= 1")
     t0 = perf_counter()
     n, d = spec.n, spec.d
-    k_alpha = critical_value(num_frequencies(d), spec.alpha).approx
+    k_alpha = _approx_critical_value(num_frequencies(d), spec.alpha)
     blocks = n // d
     random_iid = spec.kind == "RANDOM_IID"
     probs = None if random_iid else np.resize(build_profile(spec).p, n)

@@ -90,26 +90,30 @@ def _check_d(d: int) -> None:
         raise ValueError("d too small (q would be 0)")
 
 
-def _coset_mean(values: np.ndarray, r: int, d: int, i: int) -> float:
-    # fsum is exactly rounded, so permuting the coset never changes the result;
-    # the b-periodicity and gcd(r,d)=1 identities hold to the last bit.
-    return math.fsum(values[(i + k * d - 1) % r] for k in range(r)) / r
+def _coset_means(values: np.ndarray, d: int, length: int) -> np.ndarray:
+    """The defining sums (1/r) sum_k values_{i+kd} for i = 1..length.
+
+    The indices i-1+kd, k = 0..r-1, run over the residue class of i-1 mod
+    b = gcd(r, d) in Z_r, each b times, so only b sums are taken. fsum is
+    exactly rounded, so the order of a sum never changes it: the result is
+    the per-position sum to the last bit.
+    """
+    r = values.size
+    b = math.gcd(r, d)
+    sums = [math.fsum(values[c::b].tolist() * b) / r for c in range(b)]
+    return np.resize(sums, length)
 
 
 def limits_e(profile: PeriodicProfile, d: int) -> np.ndarray:
     """In-probability limits e_1..e_d of the folded block means."""
     _check_d(d)
-    p = profile.p
-    r = profile.r
-    return np.array([_coset_mean(p, r, d, i) for i in range(1, d + 1)])
+    return _coset_means(profile.p, d, d)
 
 
 def limits_v(profile: PeriodicProfile, d: int) -> np.ndarray:
     """Variance limits v_1..v_d of the rescaled block means."""
     _check_d(d)
-    var = profile.p * (1.0 - profile.p)
-    r = profile.r
-    return np.array([_coset_mean(var, r, d, i) for i in range(1, d + 1)])
+    return _coset_means(profile.p * (1.0 - profile.p), d, d)
 
 
 class PowerRegime(Enum):
@@ -162,7 +166,7 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
 
     # e at positions 1..r straight from the defining sum (equal to e[:r]
     # whenever r <= d, but also well defined for r > d).
-    e_head = [_coset_mean(p, r, d, k) for k in range(1, r + 1)]
+    e_head = _coset_means(p, d, r).tolist()
     terms = [
         e_head[k - 1] * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
         for k in range(1, r + 1)

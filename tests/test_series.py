@@ -12,6 +12,40 @@ from binperiod.series import (
 )
 
 
+def token_loop_read_series(path):
+    """Reference reader: the token-by-token loop that read_series must match."""
+    tokens = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.lstrip().startswith("#"):
+                continue
+            for tok in line.replace(",", " ").split():
+                if tok == "0":
+                    tokens.append(0)
+                elif tok == "1":
+                    tokens.append(1)
+                else:
+                    raise ValueError(
+                        f"value out of alphabet at position {len(tokens) + 1}"
+                        f" (line {lineno}: {tok!r})"
+                    )
+    if not tokens:
+        raise ValueError("empty series")
+    return BinarySeries(np.array(tokens, dtype=np.int8))
+
+
+def read_outcome(reader, path):
+    try:
+        return reader(path).values.tolist()
+    except ValueError as exc:  # UnicodeDecodeError included
+        return type(exc), str(exc)
+
+
+def assert_reads_like_token_loop(path, raw: bytes):
+    path.write_bytes(raw)
+    assert read_outcome(read_series, path) == read_outcome(token_loop_read_series, path)
+
+
 def test_fold_hand_example():
     # Y = (1,0,1,1,0,0,1), d = 3: two full rounds, Y_7 discarded.
     folded = fold(BinarySeries(np.array([1, 0, 1, 1, 0, 0, 1])), 3)
@@ -134,3 +168,78 @@ def test_read_series_empty(tmp_path):
     path.write_text("# nothing but comments\n")
     with pytest.raises(ValueError, match="empty series"):
         read_series(path)
+
+
+# Pieces of series files: separators, line ends, comments, bad tokens and
+# non-ASCII text (a no-break space, which str.split splits on, and a letter).
+PIECES = [
+    "0", "1", " ", ",", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+    "#", "2", "01", "\u00a0", "\u00e9",
+]
+
+
+@given(pieces=st.lists(st.sampled_from(PIECES), max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_read_series_matches_token_loop(tmp_path_factory, pieces):
+    path = tmp_path_factory.mktemp("series") / "series.txt"
+    assert_reads_like_token_loop(path, "".join(pieces).encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"0 1 1\n0,1\n",
+        b"0 1\r\n# crlf comment\r\n1 0\r\n",
+        b"0 1\r# lone-cr comment\r1\r0",
+        b"0\r\n1 x\r\n",
+        b"0\r1\r2\r",
+        b"  \t# indented comment\n1\n\x0b\x0c# blank-led comment\r0",
+        b"0 1\n,# not a comment\n1\n",
+        b"0 1 # trailing\n",
+        b"0 10 1\n",
+        b"# only\n  # comments\r\n",
+        b"",
+        b" \n\t,\r\n",
+        b"0 1\n# caf\xc3\xa9\n1\n",
+        b"0\xc2\xa01 1\n",
+        b"\xc2\xa0# comment after a no-break space\n1 0\n",
+        b"0 1 \xc3\xa9\n",
+        b"0 1\n# \xff invalid utf-8\n",
+        b"\xef\xbb\xbf0 1\n",
+        b"0\x001\n",
+    ],
+)
+def test_read_series_matches_token_loop_on_edge_cases(tmp_path, raw):
+    assert_reads_like_token_loop(tmp_path / "series.txt", raw)
+
+
+def test_million_token_round_trip_with_header(tmp_path):
+    bits = np.random.default_rng(8).integers(0, 2, size=10**6).astype(np.int8)
+    path = tmp_path / "series.txt"
+    write_series(path, BinarySeries(bits))
+    path.write_bytes(b"# one million tokens\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
+    assert np.array_equal(read_series(path).values, bits)
+
+
+def join_write_series(path, series, per_line=60):
+    """Reference writer: the per-line join that write_series must match."""
+    vals = series.values
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, vals.size, per_line):
+            chunk = vals[start : start + per_line]
+            fh.write(" ".join(str(int(v)) for v in chunk))
+            fh.write("\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 59, 60, 61, 120, 137])
+@pytest.mark.parametrize("per_line", [1, 7, 60])
+def test_write_series_matches_join(tmp_path, n, per_line):
+    series = BinarySeries(np.random.default_rng(n).integers(0, 2, size=n))
+    write_series(tmp_path / "new.txt", series, per_line)
+    join_write_series(tmp_path / "old.txt", series, per_line)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def test_write_series_rejects_empty_lines(tmp_path):
+    with pytest.raises(ValueError, match="per_line must be >= 1"):
+        write_series(tmp_path / "series.txt", BinarySeries(np.array([0, 1])), per_line=0)

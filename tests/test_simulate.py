@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from binperiod import nulldist
 from binperiod.nulldist import critical_value
 from binperiod.rng import block_words, replication_stream, substream
 from binperiod.series import BinarySeries, fold
@@ -143,6 +144,18 @@ def test_estimate_power_rejects_empty_chunks():
     for chunk in (0, -1):
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             estimate_power(spec, chunk=chunk)
+
+
+def test_estimate_power_needs_no_exact_tail(monkeypatch):
+    # The engine rejects at the one-term critical value, which is closed form.
+    spec = ScenarioSpec(kind="ARITH_STEP", r=4, step=0.2, n=122, d=12, replications=300, seed=11)
+    expected = estimate_power(spec).rejections
+
+    def no_tail(q, x):
+        raise AssertionError("estimate_power evaluated the exact tail")
+
+    monkeypatch.setattr(nulldist, "tail", no_tail)
+    assert estimate_power(spec).rejections == expected
 
 
 @pytest.mark.parametrize("width", [1, 5, 122, 244])

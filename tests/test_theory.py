@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -88,6 +89,47 @@ def test_structure_against_oracle_small_grid():
             assert np.array_equal(e[: d - b], e[b:])
             if b == 1:
                 assert np.all(e == e[0])
+
+
+def per_position_mean(values, d, i):
+    """e_i (or v_i) as its defining sum over k = 0..r-1, one position at a time."""
+    r = values.size
+    return math.fsum(values[(i + k * d - 1) % r] for k in range(r)) / r
+
+
+def test_coset_sums_match_per_position_definition():
+    # The limits are taken as b = gcd(r, d) coset sums; every field derived
+    # from them must equal the per-position definition to the last bit.
+    rng = np.random.default_rng(23)
+    for r in range(1, 25):
+        p = rng.uniform(0.05, 0.95, size=r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            profile = PeriodicProfile(p)
+        var = p * (1.0 - p)
+        for d in [*range(3, 40), 360, 1001]:
+            e_ref = np.array([per_position_mean(p, d, i) for i in range(1, d + 1)])
+            v_ref = np.array([per_position_mean(var, d, i) for i in range(1, d + 1)])
+            head = [per_position_mean(p, d, k) for k in range(1, r + 1)]
+            b = math.gcd(r, d)
+            terms = [
+                head[k - 1] * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
+                for k in range(1, r + 1)
+            ]
+            summary = detectability(profile, d)
+            g_ref = fisher_g(e_ref)
+            assert np.array_equal(limits_e(profile, d), e_ref), (r, d)
+            assert np.array_equal(limits_v(profile, d), v_ref), (r, d)
+            assert np.array_equal(summary.e, e_ref), (r, d)
+            assert np.array_equal(summary.v, v_ref), (r, d)
+            assert summary.detect_sum == complex(
+                math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+            ), (r, d)
+            assert summary.detect_tol == (
+                1e-10 * math.fsum(abs(x) for x in head) * (d // r + 1)
+            ), (r, d)
+            assert summary.e_in_A == g_ref.degenerate, (r, d)
+            assert summary.limit_g == (None if g_ref.degenerate else g_ref.value), (r, d)
 
 
 def test_detectability_example():
