@@ -37,6 +37,9 @@ __all__ = [
 
 BISECTION_TOL = 1e-10
 
+# Limit-law draws per key of the sampler's stream.
+_GROUP = 256
+
 
 def _check_q(q: int) -> None:
     if not isinstance(q, (int, np.integer)) or q < 1:
@@ -172,19 +175,15 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     return CriticalValue(q=q, alpha=alpha, exact=exact, approx=approx)
 
 
-def sample_limit_statistic(
-    d: int,
-    weights,
-    count: int,
-    seed: int = 0,
-    chunk: int = 4096,
-) -> np.ndarray:
+def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.ndarray:
     """Draw ``count`` realisations of the statistic of (w_1 N_1, ..., w_d N_d).
 
-    The N_i are i.i.d. standard normal; draw k uses the independent stream
-    keyed by ``(seed, k)`` and the output is ordered by k, so results are
-    bit-identical for any ``chunk`` size or execution order. With equal
-    weights this samples the exact null law of :func:`tail`.
+    The N_i are i.i.d. standard normal. Draws come in key groups of 256:
+    draw k is row ``k % 256`` of
+    ``substream(seed, k // 256).standard_normal((m, d))``, where m is 256 or
+    the rows left in the last group. Rows are filled in order, so a shorter
+    ``count`` gives a prefix of a longer one. With equal weights this
+    samples the exact null law of :func:`tail`.
     """
     if d < 3:
         raise ValueError("q would be 0")
@@ -195,16 +194,9 @@ def sample_limit_statistic(
         raise ValueError("invalid weight")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     out = np.empty(count)
-    normals = np.empty((min(chunk, count), d))
-    start = 0
-    while start < count:
-        m = min(chunk, count - start)
-        for i in range(m):
-            normals[i] = substream(seed, start + i).standard_normal(d)
-        values, _, _ = fisher_g_batch(normals[:m] * w)
-        out[start : start + m] = values
-        start += m
+    for start in range(0, count, _GROUP):
+        m = min(_GROUP, count - start)
+        normals = substream(seed, start // _GROUP).standard_normal((m, d))
+        out[start : start + m], _, _ = fisher_g_batch(normals * w)
     return out

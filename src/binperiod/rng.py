@@ -7,10 +7,12 @@ each counter value yields four 64-bit words, i.e. four uniform doubles.
   key ``(seed, 0)``, and replication k of width w (the uniforms it consumes)
   owns the counter block ``[k*c, (k+1)*c)`` with ``c = ceil(w/4)``. A batch
   of m replications is one ``random((m, block_words(w)))`` draw, any
-  replication can be replayed alone, and results cannot depend on chunking.
-* Limit-law draws (:func:`substream`): draw k has its own key ``(seed, k)``,
-  because ziggurat normals consume a variable number of words and so cannot
-  own fixed counter blocks.
+  replication can be replayed alone, and results cannot depend on batching.
+* Limit-law draws (:func:`substream`): each group of 256 draws has its own
+  key ``(seed, k // 256)``, and draw k is row ``k % 256`` of that key's
+  ``standard_normal((256, d))``. Ziggurat normals consume a variable number
+  of words, so a draw cannot own a fixed counter block; a group can be
+  replayed from its key, and rows fill in order.
 """
 
 from __future__ import annotations

@@ -176,7 +176,7 @@ class PowerEstimate:
 _BATCH_WORDS = 2**17
 
 
-def estimate_power(spec: ScenarioSpec, chunk: int = 1024) -> PowerEstimate:
+def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     """Monte Carlo rejection rate of the level-alpha test under ``spec``.
 
     Replication k takes its uniforms from its counter block of the run's
@@ -186,13 +186,10 @@ def estimate_power(spec: ScenarioSpec, chunk: int = 1024) -> PowerEstimate:
     approximate critical value (the convention all shipped tables use; the
     exact value is available separately from
     :func:`binperiod.nulldist.critical_value`). Each batch of replications
-    is one draw of at most ``chunk`` rows and about 2**17 uniforms.
-    Rejection counts are bit-identical for any ``chunk``, and
+    is one draw of about 2**17 uniforms (at least one row), and
     ``simulate_series(profile, n, replication_stream(seed, k, n))``
     reproduces replication k alone.
     """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     t0 = perf_counter()
     n, d = spec.n, spec.d
     k_alpha = _approx_critical_value(num_frequencies(d), spec.alpha)
@@ -201,7 +198,7 @@ def estimate_power(spec: ScenarioSpec, chunk: int = 1024) -> PowerEstimate:
     probs = None if random_iid else np.resize(build_profile(spec).p, n)
     width = 2 * n if random_iid else n
     words = block_words(width)
-    rows = max(1, min(chunk, _BATCH_WORDS // words))
+    rows = max(1, _BATCH_WORDS // words)
     rng = replication_stream(spec.seed, 0, width)
     buf = np.empty((min(rows, spec.replications), words))
     rejections = 0

@@ -43,7 +43,7 @@ def effective_period(p) -> int:
     arr = np.asarray(p)
     r = arr.size
     for s in range(1, r):
-        if r % s == 0 and all(arr[i] == arr[i % s] for i in range(r)):
+        if r % s == 0 and np.array_equal(arr, np.resize(arr[:s], r)):
             return s
     return r
 

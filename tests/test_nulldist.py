@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from binperiod.nulldist import (
     tail,
     tail_approx,
 )
-from binperiod.spectral import GStatistic
+from binperiod.rng import substream
+from binperiod.spectral import GStatistic, fisher_g_batch
 
 
 def tail_fraction(q: int, x: Fraction) -> Fraction:
@@ -193,15 +195,27 @@ def test_p_value_flood_statistics():
     assert p_value(29, 0.1414, "exact") == pytest.approx(0.3698711, abs=1e-6)
 
 
-def test_sampler_is_deterministic_and_chunk_independent():
-    w = np.ones(11)
-    a = sample_limit_statistic(11, w, 5, seed=7)
-    b = sample_limit_statistic(11, w, 5, seed=7, chunk=2)
-    c = sample_limit_statistic(11, w, 5, seed=7, chunk=3)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, c)
-    single = sample_limit_statistic(11, w, 1, seed=7)
-    assert single[0] == a[0]
+def test_sampler_draws_replay_from_their_group():
+    w = np.linspace(0.5, 2.0, 11)
+    full = sample_limit_statistic(11, w, 600, seed=7)
+    for count in (10, 300):
+        assert np.array_equal(sample_limit_statistic(11, w, count, seed=7), full[:count])
+    for k in (0, 255, 256, 511, 512, 599):
+        normals = substream(7, k // 256).standard_normal((256, 11))[k % 256]
+        values, _, _ = fisher_g_batch((normals * w)[None, :])
+        assert full[k] == values[0]
+
+
+def test_sampler_working_set_is_bounded():
+    # One 256 x d group is live at a time; a 1000 x 2520 normals buffer and
+    # its products would take about 77 MB.
+    tracemalloc.start()
+    try:
+        sample_limit_statistic(2520, np.ones(2520), 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_sampler_validates_weights():
@@ -213,12 +227,6 @@ def test_sampler_validates_weights():
         sample_limit_statistic(2, [1.0, 1.0], 3)
     with pytest.raises(ValueError, match="count"):
         sample_limit_statistic(5, np.ones(5), 0)
-
-
-def test_sampler_rejects_empty_chunks():
-    for chunk in (0, -1):
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            sample_limit_statistic(5, np.ones(5), 3, chunk=chunk)
 
 
 def test_sampler_matches_tail_for_equal_weights():

@@ -117,9 +117,9 @@ def test_simulate_series_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_estimate_power_deterministic_and_chunk_independent():
+def test_estimate_power_deterministic():
     # n = 120 fills whole counter blocks; n = 122 leaves two words of padding
-    # per replication (n = 244 for RANDOM_IID); chunk 1 is one row a batch.
+    # per replication (n = 244 for RANDOM_IID).
     specs = [
         ScenarioSpec(kind="PI_DIGITS", length=120, n=120, d=12, replications=300, seed=11),
         ScenarioSpec(kind="ARITH_STEP", r=4, step=0.2, n=122, d=12, replications=300, seed=11),
@@ -130,20 +130,11 @@ def test_estimate_power_deterministic_and_chunk_independent():
             warnings.simplefilter("ignore", UserWarning)
             first = estimate_power(spec)
             second = estimate_power(spec)
-            others = [estimate_power(spec, chunk=c).rejections for c in (1, 3, 7)]
         assert first.rejections == second.rejections
-        assert others == [first.rejections] * 3
         assert first.rate == first.rejections / spec.replications
         assert first.std_error == pytest.approx(
             math.sqrt(first.rate * (1 - first.rate) / spec.replications)
         )
-
-
-def test_estimate_power_rejects_empty_chunks():
-    spec = ScenarioSpec(kind="CONSTANT", p1=0.5, n=60, d=6, replications=10)
-    for chunk in (0, -1):
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            estimate_power(spec, chunk=chunk)
 
 
 def test_estimate_power_needs_no_exact_tail(monkeypatch):

@@ -201,6 +201,28 @@ def test_profile_warns_on_non_minimal_period():
     assert effective_period([0.3, 0.6, 0.7]) == 3
 
 
+def test_effective_period_matches_definition():
+    def by_definition(arr):
+        r = arr.size
+        periods = (
+            s for s in range(1, r)
+            if r % s == 0 and all(arr[i] == arr[i % s] for i in range(r))
+        )
+        return next(periods, r)  # r itself, even where a NaN equals nothing
+
+    rng = np.random.default_rng(6)
+    for _ in range(600):
+        r = int(rng.integers(1, 25))
+        divisors = [s for s in range(1, r + 1) if r % s == 0]
+        s = divisors[rng.integers(len(divisors))]
+        arr = np.resize(rng.integers(0, 3, s) / 2.0, r)
+        if rng.random() < 0.3:  # a planted break in one period
+            arr[rng.integers(r)] = 0.25
+        if rng.random() < 0.2:  # NaN equals nothing, itself included
+            arr[rng.integers(r)] = np.nan
+        assert effective_period(arr) == by_definition(arr), arr
+
+
 def test_fold_means_converge_to_e():
     # mean of Z_i over replications approaches e_i within 3 standard errors
     profile = PeriodicProfile([0.2, 0.5, 0.8])
