@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,11 @@ BISECTION_TOL = 1e-10
 _GROUP = 256
 
 
-def _check_q(q: int) -> None:
+def _check_q(q: int) -> int:
+    """Validate q and return it as a Python int (numpy integers would wrap)."""
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError("invalid q")
+    return operator.index(q)
 
 
 def tail(q: int, x: float) -> float:
@@ -54,7 +57,7 @@ def tail(q: int, x: float) -> float:
     the sum is taken in ``decimal`` with 30 digits beyond the size of its terms.
     Both tails reject a NaN ``x`` with ValueError; x = +-inf give 0 and 1.
     """
-    _check_q(q)
+    q = _check_q(q)
     x = float(x)
     if math.isnan(x):  # fails every comparison; the clamps would give 0 or 1
         raise ValueError("statistic is NaN")
@@ -101,7 +104,7 @@ def tail(q: int, x: float) -> float:
 
 def tail_approx(q: int, x: float) -> float:
     """One-term (j = 1) approximation q (1 - x)^{q-1}, clamped to [0, 1]."""
-    _check_q(q)
+    q = _check_q(q)
     x = float(x)
     if math.isnan(x):
         raise ValueError("statistic is NaN")
@@ -146,7 +149,7 @@ class CriticalValue:
 
 def _approx_critical_value(q: int, alpha: float) -> float:
     """The one-term critical value 1 - (alpha/q)^{1/(q-1)}, or 1 for q = 1."""
-    _check_q(q)
+    q = _check_q(q)
     if not 0.0 < alpha < 1.0:
         raise ValueError("invalid level")
     return 1.0 if q == 1 else 1.0 - (alpha / q) ** (1.0 / (q - 1))
@@ -161,6 +164,7 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     ``approx`` is the closed form 1 - (alpha/q)^{1/(q-1)} for q >= 2. For
     q = 1 the statistic is identically 1, so both values are 1.
     """
+    q = _check_q(q)
     approx = _approx_critical_value(q, alpha)
     if q == 1:
         return CriticalValue(q=1, alpha=alpha, exact=1.0, approx=approx)

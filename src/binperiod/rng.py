@@ -7,7 +7,8 @@ each counter value yields four 64-bit words, i.e. four uniform doubles.
   key ``(seed, 0)``, and replication k of width w (the uniforms it consumes)
   owns the counter block ``[k*c, (k+1)*c)`` with ``c = ceil(w/4)``. A batch
   of m replications is one ``random((m, block_words(w)))`` draw, any
-  replication can be replayed alone, and results cannot depend on batching.
+  replication can be replayed alone, and results cannot depend on batching
+  or on how many workers draw disjoint replication ranges side by side.
 * Limit-law draws (:func:`substream`): each group of 256 draws has its own
   key ``(seed, k // 256)``, and draw k is row ``k % 256`` of that key's
   ``standard_normal((256, d))``. Ziggurat normals consume a variable number

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -170,10 +172,50 @@ class PowerEstimate:
     elapsed: float
 
 
-# Uniforms per batch: about 1 MiB of doubles (109 rows at n = 1200). Whole
-# 1024-row batches raised the peak RSS of one n = 1200 cell from 37 to 48 MB
-# (58 MB for RANDOM_IID); with this cap it stays at the interpreter's 37 MB.
+# Uniforms per batch of a serial cell: about 1 MiB of doubles (109 rows at
+# n = 1200). Whole 1024-row batches raised the peak RSS of one n = 1200 cell
+# from 37 to 48 MB (58 MB for RANDOM_IID); with this cap it stays at the
+# interpreter's 37 MB.
 _BATCH_WORDS = 2**17
+# Batches of uniforms a sharded cell holds at once. Two shards draw full
+# batches (on 2 CPUs the second raised mc_table's peak RSS from 42.4 to
+# 44.3 MB); more shards split this budget, so the working set does not grow
+# with the CPU count.
+_CELL_BATCHES = 2
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _count_rejections(
+    spec: ScenarioSpec, probs, k_alpha: float, start: int, stop: int, rows: int
+) -> int:
+    """Rejections among replications ``[start, stop)`` of ``spec``'s run.
+
+    ``probs`` is the length-n profile, or None for RANDOM_IID. The shard
+    draws ``rows`` replications at a time from its own generator, advanced
+    to replication ``start``.
+    """
+    n, d = spec.n, spec.d
+    blocks = n // d
+    width = n if probs is not None else 2 * n
+    rng = replication_stream(spec.seed, start, width)
+    buf = np.empty((min(rows, stop - start), block_words(width)))
+    rejections = 0
+    while start < stop:
+        m = min(rows, stop - start)
+        u = rng.random(out=buf[:m])
+        bits = u[:, :n] < probs if probs is not None else u[:, n:width] < u[:, :n]
+        counts = bits[:, : blocks * d].reshape(m, blocks, d).sum(axis=1)
+        values, _, _ = fisher_g_batch(counts / blocks)
+        rejections += int(np.count_nonzero(values > k_alpha))
+        start += m
+    return rejections
 
 
 def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
@@ -185,34 +227,55 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     spec.d and rejects when the guarded statistic exceeds the one-term
     approximate critical value (the convention all shipped tables use; the
     exact value is available separately from
-    :func:`binperiod.nulldist.critical_value`). Each batch of replications
-    is one draw of about 2**17 uniforms (at least one row), and
+    :func:`binperiod.nulldist.critical_value`).
+
+    The replications are split into T contiguous shards, shard i covering
+    ``[reps*i//T, reps*(i+1)//T)``; T is the number of CPUs in the process's
+    affinity mask, capped at the number of batches in the cell. A batch is
+    about 2**17 uniforms (at least one row), and the cell holds at most two
+    batches' worth at once: up to two shards draw full batches, more shards
+    split that budget, and T is 1 when one replication alone is wider than a
+    batch. Shard 0 runs on the calling thread and the others on helper
+    threads, each drawing from its own generator, and the cell's count is
+    the sum of the shards' integer counts, so it is the same for any T.
     ``simulate_series(profile, n, replication_stream(seed, k, n))``
     reproduces replication k alone.
     """
     t0 = perf_counter()
-    n, d = spec.n, spec.d
-    k_alpha = _approx_critical_value(num_frequencies(d), spec.alpha)
-    blocks = n // d
-    random_iid = spec.kind == "RANDOM_IID"
-    probs = None if random_iid else np.resize(build_profile(spec).p, n)
-    width = 2 * n if random_iid else n
-    words = block_words(width)
-    rows = max(1, _BATCH_WORDS // words)
-    rng = replication_stream(spec.seed, 0, width)
-    buf = np.empty((min(rows, spec.replications), words))
-    rejections = 0
-    done = 0
-    while done < spec.replications:
-        m = min(rows, spec.replications - done)
-        u = rng.random(out=buf[:m])
-        bits = u[:, n:width] < u[:, :n] if random_iid else u[:, :n] < probs
-        counts = bits[:, : blocks * d].reshape(m, blocks, d).sum(axis=1)
-        values, _, _ = fisher_g_batch(counts / blocks)
-        rejections += int(np.count_nonzero(values > k_alpha))
-        done += m
-    rate = rejections / spec.replications
-    std_error = math.sqrt(rate * (1.0 - rate) / spec.replications)
+    reps = spec.replications
+    k_alpha = _approx_critical_value(num_frequencies(spec.d), spec.alpha)
+    # build_profile may warn; warning filters are process-wide, so it stays
+    # on the calling thread.
+    probs = None if spec.kind == "RANDOM_IID" else np.resize(build_profile(spec).p, spec.n)
+    words = block_words(spec.n if probs is not None else 2 * spec.n)
+    budget = _CELL_BATCHES * _BATCH_WORDS
+    batches = -(-reps // max(1, _BATCH_WORDS // words))
+    shards = max(1, min(_cpu_count(), batches, budget // words))
+    rows = max(1, min(_BATCH_WORDS, budget // shards) // words)
+    bounds = [reps * i // shards for i in range(shards + 1)]
+    results: list = [None] * shards
+
+    def run(i: int) -> None:
+        try:
+            results[i] = _count_rejections(spec, probs, k_alpha, bounds[i], bounds[i + 1], rows)
+        except BaseException as exc:  # re-raised on the calling thread
+            results[i] = exc
+
+    helpers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(1, shards)]
+    for thread in helpers:
+        thread.start()
+    try:
+        rejections = _count_rejections(spec, probs, k_alpha, bounds[0], bounds[1], rows)
+    finally:
+        # Even when shard 0 fails, no helper outlives the call.
+        for thread in helpers:
+            thread.join()
+    for result in results[1:]:
+        if isinstance(result, BaseException):
+            raise result
+        rejections += result
+    rate = rejections / reps
+    std_error = math.sqrt(rate * (1.0 - rate) / reps)
     return PowerEstimate(
         scenario=spec,
         rejections=rejections,

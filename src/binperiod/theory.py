@@ -100,8 +100,8 @@ def _coset_means(values: np.ndarray, d: int, length: int) -> np.ndarray:
     """
     r = values.size
     b = math.gcd(r, d)
-    sums = [math.fsum(values[c::b].tolist() * b) / r for c in range(b)]
-    return np.resize(sums, length)
+    sums = np.array([math.fsum(values[c::b].tolist() * b) / r for c in range(b)])
+    return sums[np.arange(length) % b]
 
 
 def limits_e(profile: PeriodicProfile, d: int) -> np.ndarray:

@@ -114,6 +114,19 @@ def test_invalid_q():
         critical_value(0, 0.05)
 
 
+@pytest.mark.parametrize("q", [5, 29, 179, 500, 1259])
+def test_numpy_integer_q_matches_python_int(q):
+    # A numpy q once made the binomial coefficients wrap in int64.
+    grid = np.linspace(1.0 / q, 1.0, 40).tolist() + [0.0084, 0.02, 0.05]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (tail, tail_approx):
+            assert [f(np.int64(q), x) for x in grid] == [f(q, x) for x in grid]
+        for alpha in (0.01, 0.05):
+            assert critical_value(np.int64(q), alpha) == critical_value(q, alpha)
+            assert type(critical_value(np.int64(q), alpha).q) is int
+
+
 def test_reference_tail_value():
     # frozen from the exact rational oracle
     assert tail(29, 0.2033) == pytest.approx(0.0497805976, abs=1e-9)

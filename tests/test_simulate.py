@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -6,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from binperiod import nulldist
+from binperiod import nulldist, simulate
 from binperiod.nulldist import critical_value
 from binperiod.rng import block_words, replication_stream, substream
 from binperiod.series import BinarySeries, fold
@@ -22,7 +25,7 @@ from binperiod.simulate import (
     simulate_series,
     table_specs,
 )
-from binperiod.spectral import fisher_g, num_frequencies
+from binperiod.spectral import fisher_g, fisher_g_batch, num_frequencies
 from binperiod.theory import PeriodicProfile
 
 
@@ -187,6 +190,133 @@ def test_replication_replays_alone(kind):
 def test_estimate_power_working_set_is_bounded():
     # One RANDOM_IID replication at n = 10^5 is 2*10^5 doubles (1.6 MB); a
     # batch of all 16 rows at once would hold 25.6 MB.
+    spec = ScenarioSpec(kind="RANDOM_IID", n=100_000, d=60, replications=16, seed=1)
+    tracemalloc.start()
+    try:
+        estimate_power(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+SHARDED_SPECS = [
+    ScenarioSpec(kind="PI_DIGITS", length=120, n=120, d=12, replications=300, seed=11),
+    ScenarioSpec(kind="ARITH_STEP", r=4, step=0.2, n=122, d=12, replications=300, seed=11),
+    ScenarioSpec(kind="RANDOM_IID", n=122, d=12, replications=300, seed=11),
+    ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=2000, seed=3),
+    ScenarioSpec(kind="RANDOM_IID", n=1200, d=60, replications=2000, seed=3),
+]
+
+
+@pytest.mark.parametrize("spec", SHARDED_SPECS, ids=lambda spec: f"{spec.kind}-{spec.n}")
+def test_counts_do_not_depend_on_worker_count(monkeypatch, spec):
+    width = 2 * spec.n if spec.kind == "RANDOM_IID" else spec.n
+    rows = simulate._BATCH_WORDS // block_words(width)
+    batches = -(-spec.replications // rows)
+    starts = []
+
+    def recording_stream(seed, index, width):
+        starts.append(index)
+        return replication_stream(seed, index, width)
+
+    monkeypatch.setattr(simulate, "replication_stream", recording_stream)
+    counts = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the shards as finely as we can
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+                starts.clear()
+                counts.append(estimate_power(spec).rejections)
+                shards = min(workers, batches)
+                assert sorted(starts) == [spec.replications * i // shards for i in range(shards)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [counts[0]] * 4
+
+
+@pytest.mark.parametrize("kind", ["ARITH_STEP", "RANDOM_IID"])
+def test_prefix_counts_match_on_three_workers(monkeypatch, kind):
+    # test_replication_replays_alone pins the serial prefix counts to the
+    # replayed decisions. Two-row batches put every prefix of five or more
+    # replications on three shards, which split the cell's two batches into
+    # one-row batches.
+    spec = ScenarioSpec(kind=kind, r=4, step=0.2, n=122, d=12, replications=60, seed=6)
+    width = 2 * spec.n if kind == "RANDOM_IID" else spec.n
+    monkeypatch.setattr(simulate, "_BATCH_WORDS", 2 * block_words(width))
+
+    def prefix_counts(workers):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+        return [
+            estimate_power(replace(spec, replications=m)).rejections
+            for m in range(1, spec.replications + 1)
+        ]
+
+    assert prefix_counts(3) == prefix_counts(1)
+
+
+def test_helper_exception_reaches_caller(monkeypatch):
+    spec = ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=2000, seed=3)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    outcome = []
+
+    def failing_in_helpers(x):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("shard 1 failed")
+        return fisher_g_batch(x)
+
+    def call():
+        try:
+            estimate_power(spec)
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    monkeypatch.setattr(simulate, "fisher_g_batch", failing_in_helpers)
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in outcome] == ["shard 1 failed"]
+
+
+def test_caller_failure_joins_helpers(monkeypatch):
+    spec = ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=2000, seed=3)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+
+    def failing_in_caller(x):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError("shard 0 failed")
+        time.sleep(0.02)  # keeps the helper busy well after shard 0 fails
+        return fisher_g_batch(x)
+
+    monkeypatch.setattr(simulate, "fisher_g_batch", failing_in_caller)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="shard 0 failed"):
+        estimate_power(spec)
+    assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
+@pytest.mark.parametrize("kind", ["ARITH_STEP", "RANDOM_IID"])
+def test_working_set_does_not_grow_with_workers(monkeypatch, kind):
+    # Two shards hold two batches (about 2.7 MiB at n = 1200); eight shards
+    # share the same budget instead of holding eight batches (about 9 MiB).
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
+    spec = ScenarioSpec(kind=kind, r=20, step=0.01, n=1200, d=60, replications=2000, seed=3)
+    tracemalloc.start()
+    try:
+        estimate_power(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
+
+
+def test_wide_replications_run_serially(monkeypatch):
+    # Eight shards of the working-set spec would hold eight 1.6 MB rows.
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
     spec = ScenarioSpec(kind="RANDOM_IID", n=100_000, d=60, replications=16, seed=1)
     tracemalloc.start()
     try:
