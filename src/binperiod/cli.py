@@ -4,25 +4,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .nulldist import critical_value, p_value
-from .series import BinarySeries, _line_tokens, fold, read_series
+from .series import BinarySeries, _read_tokens, fold, read_series
 from .simulate import (
-    CSV_HEADER,
     TABLE_IDS,
-    _fmt,
-    estimate_csv_row,
+    PowerEstimate,
     estimate_power,
-    format_table_text,
     iter_table,
     override_scenario,
     read_scenario,
 )
 from .spectral import fisher_g, num_frequencies
-from .theory import PeriodicProfile, detectability, predict_power_regime
+from .theory import PeriodicProfile, detectability
 
 __all__ = ["TestReport", "main", "run_test"]
 
@@ -78,86 +75,70 @@ def run_test(series: BinarySeries, d: int, alpha: float = 0.05) -> TestReport:
     )
 
 
+def _cell(key: str, value, args) -> str:
+    """The one cell rule of every command.
+
+    A flag prints as 0/1 in CSV and no/yes in text, the echoed inputs
+    ``alpha`` and ``x`` print as given (``:g``), other floats print with 4
+    decimals (``repr`` under ``--full-precision``) and None as an empty cell.
+    """
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value)) if args.csv else ("yes" if value else "no")
+    if key in ("alpha", "x"):
+        return f"{value:g}"
+    if isinstance(value, float):
+        return repr(float(value)) if args.full_precision else f"{value:.4f}"
+    return str(value)
+
+
+def _print_records(records, template: str, args) -> None:
+    """Print records, dicts whose key order is the column order: in CSV the
+    first record's keys as the header and one row of cells per record, in
+    text ``template`` filled with each record's cells."""
+    for i, record in enumerate(records):
+        cells = {key: _cell(key, value, args) for key, value in record.items()}
+        if args.csv and i == 0:
+            print(",".join(cells))
+        print(",".join(cells.values()) if args.csv else template.format(**cells), flush=True)
+
+
+_TEST_TEXT = (
+    "series: n={n} (discarded {discarded} trailing observations)\n"
+    "fold:   d={d} blocks={blocks} q={q}\n"
+    "statistic f = {statistic}  (argmax j = {argmax_j}, degenerate: {degenerate})\n"
+    "critical value at alpha={alpha}: approx {k_alpha_approx}, exact {k_alpha_exact}\n"
+    "p-value: approx {p_approx}, exact {p_exact}\n"
+    "decision (approx convention): {decision}  [exact convention: {decision_exact}]"
+)
+
+
 def _cmd_test(args) -> int:
     report = run_test(read_series(args.file), d=args.d, alpha=args.alpha)
-    full = args.full_precision
-    if args.csv:
-        print(
-            "n,d,q,blocks,discarded,statistic,degenerate,argmax_j,alpha,"
-            "p_exact,p_approx,k_alpha_exact,k_alpha_approx,decision,decision_exact"
-        )
-        print(
-            f"{report.n},{report.d},{report.q},{report.blocks},{report.discarded},"
-            f"{_fmt(report.statistic, full)},{int(report.degenerate)},{report.argmax_j},"
-            f"{report.alpha:g},{_fmt(report.p_exact, full)},{_fmt(report.p_approx, full)},"
-            f"{_fmt(report.k_alpha_exact, full)},{_fmt(report.k_alpha_approx, full)},"
-            f"{report.decision},{report.decision_exact}"
-        )
-        return 0
-    print(f"series: n={report.n} (discarded {report.discarded} trailing observations)")
-    print(f"fold:   d={report.d} blocks={report.blocks} q={report.q}")
-    degen = "yes" if report.degenerate else "no"
-    print(
-        f"statistic f = {_fmt(report.statistic, full)}"
-        f"  (argmax j = {report.argmax_j}, degenerate: {degen})"
-    )
-    print(
-        f"critical value at alpha={report.alpha:g}:"
-        f" approx {_fmt(report.k_alpha_approx, full)},"
-        f" exact {_fmt(report.k_alpha_exact, full)}"
-    )
-    print(
-        f"p-value: approx {_fmt(report.p_approx, full)},"
-        f" exact {_fmt(report.p_exact, full)}"
-    )
-    print(
-        f"decision (approx convention): {report.decision}"
-        f"  [exact convention: {report.decision_exact}]"
-    )
+    _print_records([asdict(report)], _TEST_TEXT, args)
     return 0
 
 
 def _cmd_critval(args) -> int:
-    crit = critical_value(args.q, args.alpha)
-    full = args.full_precision
-    if args.csv:
-        print("q,alpha,exact,approx")
-        print(f"{crit.q},{crit.alpha:g},{_fmt(crit.exact, full)},{_fmt(crit.approx, full)}")
-    else:
-        print(
-            f"critical value (q={crit.q}, alpha={crit.alpha:g}):"
-            f" approx {_fmt(crit.approx, full)}, exact {_fmt(crit.exact, full)}"
-        )
+    template = "critical value (q={q}, alpha={alpha}): approx {approx}, exact {exact}"
+    _print_records([asdict(critical_value(args.q, args.alpha))], template, args)
     return 0
 
 
 def _cmd_pvalue(args) -> int:
-    exact = p_value(args.q, args.x, "exact")
-    approx = p_value(args.q, args.x, "approx")
-    full = args.full_precision
-    if args.csv:
-        print("q,x,p_exact,p_approx")
-        print(f"{args.q},{args.x:g},{_fmt(exact, full)},{_fmt(approx, full)}")
-    else:
-        print(
-            f"p-value (q={args.q}, x={args.x:g}):"
-            f" approx {_fmt(approx, full)}, exact {_fmt(exact, full)}"
-        )
+    record = {
+        "q": args.q,
+        "x": args.x,
+        "p_exact": p_value(args.q, args.x, "exact"),
+        "p_approx": p_value(args.q, args.x, "approx"),
+    }
+    _print_records([record], "p-value (q={q}, x={x}): approx {p_approx}, exact {p_exact}", args)
     return 0
 
 
 def _read_profile(path) -> PeriodicProfile:
-    values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line_tokens in _line_tokens(fh):
-            for tok in line_tokens:
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise ValueError(
-                        f"not a number at position {len(values) + 1}"
-                        f" (line {lineno}: {tok!r})"
-                    ) from None
+    values = _read_tokens(path, float, "not a number")
     if not values:
         raise ValueError("empty profile")
     return PeriodicProfile(np.array(values))
@@ -166,38 +147,57 @@ def _read_profile(path) -> PeriodicProfile:
 def _cmd_theory(args) -> int:
     profile = _read_profile(args.file)
     summary = detectability(profile, args.d)
-    regime = predict_power_regime(profile, args.d)
-    full = args.full_precision
     ds = summary.detect_sum
-    ds_text = f"{_fmt(ds.real, full)}{'+' if ds.imag >= 0 else '-'}{_fmt(abs(ds.imag), full)}i"
-    limit_text = "" if summary.limit_g is None else _fmt(summary.limit_g, full)
+    record = {
+        "r": profile.r,
+        "d": args.d,
+        "b": summary.b,
+        "e_in_A": summary.e_in_A,
+        "detect_sum_re": ds.real,
+        "detect_sum_im": ds.imag,
+        "detect_nonzero": summary.detect_nonzero,
+        "limit_g": summary.limit_g,
+        "regime": summary.regime.value,
+    }
+    cells = {key: _cell(key, value, args) for key, value in record.items()}
+    rows = ({"i": i + 1, "e": e, "v": v} for i, (e, v) in enumerate(zip(summary.e, summary.v)))
     if args.csv:
         print("field,value")
-        print(f"r,{profile.r}")
-        print(f"d,{args.d}")
-        print(f"b,{summary.b}")
-        print(f"e_in_A,{int(summary.e_in_A)}")
-        print(f"detect_sum_re,{_fmt(ds.real, full)}")
-        print(f"detect_sum_im,{_fmt(ds.imag, full)}")
-        print(f"detect_nonzero,{int(summary.detect_nonzero)}")
-        print(f"limit_g,{limit_text}")
-        print(f"regime,{regime.value}")
+        for key, cell in cells.items():
+            print(f"{key},{cell}")
         print()
-        print("i,e,v")
-        for i in range(args.d):
-            print(f"{i + 1},{_fmt(summary.e[i], full)},{_fmt(summary.v[i], full)}")
+        _print_records(rows, "", args)
         return 0
-    print(f"profile: r={profile.r}   fold: d={args.d}   b=gcd(r,d)={summary.b}")
+    print("profile: r={r}   fold: d={d}   b=gcd(r,d)={b}".format(**cells))
     print(f"{'i':>4} {'e_i':>12} {'v_i':>12}")
-    for i in range(args.d):
-        print(f"{i + 1:>4} {_fmt(summary.e[i], full):>12} {_fmt(summary.v[i], full):>12}")
-    print(f"e in A: {'yes' if summary.e_in_A else 'no'}")
+    _print_records(rows, "{i:>4} {e:>12} {v:>12}", args)
+    print("e in A: {e_in_A}".format(**cells))
+    # The sign is that of ds.imag, so -0.0 prints as +0.
+    im_text = ("+" if ds.imag >= 0 else "-") + cells["detect_sum_im"].lstrip("-")
     qualifier = "" if summary.detect_nonzero else "  (numerically zero: inconclusive)"
-    print(f"detect_sum = {ds_text}{qualifier}")
+    print(f"detect_sum = {cells['detect_sum_re']}{im_text}i{qualifier}")
     if summary.limit_g is not None:
-        print(f"limit_g = {limit_text}")
-    print(f"regime: {regime.value}")
+        print("limit_g = {limit_g}".format(**cells))
+    print("regime: {regime}".format(**cells))
     return 0
+
+
+def _estimate_record(est: PowerEstimate) -> dict:
+    spec = est.scenario
+    return {
+        "scenario": spec.label(),
+        "r": spec.profile_period(),
+        "n": spec.n,
+        "d": spec.d,
+        "alpha": spec.alpha,
+        "replications": spec.replications,
+        "rejections": est.rejections,
+        "rate": est.rate,
+        "std_error": est.std_error,
+    }
+
+
+_ESTIMATE_TEXT = "{scenario}  rate={rate}  se={std_error}  rejections={rejections}/{replications}"
 
 
 def _cmd_simulate(args) -> int:
@@ -205,23 +205,15 @@ def _cmd_simulate(args) -> int:
         read_scenario(args.file), replications=args.reps, seed=args.seed
     )
     est = estimate_power(spec)
-    if args.csv:
-        print(CSV_HEADER)
-        print(estimate_csv_row(est, args.full_precision))
-    else:
-        print(format_table_text([est], args.full_precision))
+    _print_records([_estimate_record(est)], _ESTIMATE_TEXT, args)
+    if not args.csv:
         print(f"elapsed: {est.elapsed:.2f}s")
     return 0
 
 
 def _cmd_table(args) -> int:
-    if args.csv:
-        print(CSV_HEADER)
-        for est in iter_table(args.table, args.reps, args.seed):
-            print(estimate_csv_row(est, args.full_precision), flush=True)
-    else:
-        for est in iter_table(args.table, args.reps, args.seed):
-            print(format_table_text([est], args.full_precision), flush=True)
+    estimates = iter_table(args.table, args.reps, args.seed)
+    _print_records(map(_estimate_record, estimates), _ESTIMATE_TEXT, args)
     return 0
 
 

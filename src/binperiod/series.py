@@ -104,14 +104,6 @@ def fold(series: BinarySeries, d: int) -> FoldedSeries:
     return FoldedSeries(z=counts / blocks, d=d, blocks=blocks, n=n)
 
 
-def _line_tokens(fh):
-    """Yield (1-based line number, tokens split on commas and whitespace) per
-    line of ``fh``, skipping lines whose first non-blank character is ``#``."""
-    for lineno, line in enumerate(fh, start=1):
-        if not line.lstrip().startswith("#"):
-            yield lineno, line.replace(",", " ").split()
-
-
 # The ASCII characters ``str.split`` splits on (``str.isspace``); the token
 # format also separates tokens by commas.
 _BLANKS = b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
@@ -166,22 +158,22 @@ def _ascii_bits(data: bytes) -> np.ndarray | None:
     return bits
 
 
-def _token_bits(path) -> np.ndarray:
-    """The series read token by token; names the first bad token."""
-    tokens: list[int] = []
+def _read_tokens(path, convert, what: str) -> list:
+    """Each token of a series or profile file through ``convert``, naming the
+    first token it rejects by position and line."""
+    values: list = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line_tokens in _line_tokens(fh):
-            for tok in line_tokens:
-                if tok == "0":
-                    tokens.append(0)
-                elif tok == "1":
-                    tokens.append(1)
-                else:
+        for lineno, line in enumerate(fh, start=1):
+            if line.lstrip().startswith("#"):
+                continue
+            for tok in line.replace(",", " ").split():
+                try:
+                    values.append(convert(tok))
+                except (KeyError, ValueError):
                     raise ValueError(
-                        f"value out of alphabet at position {len(tokens) + 1}"
-                        f" (line {lineno}: {tok!r})"
-                    )
-    return np.array(tokens, dtype=np.int8)
+                        f"{what} at position {len(values) + 1} (line {lineno}: {tok!r})"
+                    ) from None
+    return values
 
 
 def read_series(path) -> BinarySeries:
@@ -195,7 +187,7 @@ def read_series(path) -> BinarySeries:
     with open(path, "rb") as fh:
         bits = _ascii_bits(fh.read())
     if bits is None:
-        bits = _token_bits(path)
+        bits = _read_tokens(path, {"0": 0, "1": 1}.__getitem__, "value out of alphabet")
     return BinarySeries(bits)
 
 

@@ -17,16 +17,13 @@ from .spectral import fisher_g_batch, num_frequencies
 from .theory import PeriodicProfile
 
 __all__ = [
-    "CSV_HEADER",
     "KINDS",
     "PI_DIGITS",
     "PowerEstimate",
     "ScenarioSpec",
     "TABLE_IDS",
     "build_profile",
-    "estimate_csv_row",
     "estimate_power",
-    "format_table_text",
     "iter_table",
     "read_scenario",
     "run_table",
@@ -148,8 +145,6 @@ def build_profile(spec: ScenarioSpec) -> PeriodicProfile:
         p = np.array([int(c) for c in PI_DIGITS[: spec.length]], dtype=float) / 10.0
     else:
         raise ValueError("RANDOM_IID redraws probabilities per replication")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probability outside [0,1]")
     return PeriodicProfile(p)
 
 
@@ -343,34 +338,6 @@ def iter_table(table_id: str, replications: int = 20000, seed: int = 0):
 def run_table(table_id: str, replications: int = 20000, seed: int = 0) -> list[PowerEstimate]:
     """Run every cell of a table; see :func:`table_specs`."""
     return list(iter_table(table_id, replications, seed))
-
-
-CSV_HEADER = "scenario,r,n,d,alpha,replications,rejections,rate,std_error"
-
-
-def _fmt(x: float, full: bool) -> str:
-    return repr(float(x)) if full else f"{x:.4f}"
-
-
-def estimate_csv_row(est: PowerEstimate, full_precision: bool = False) -> str:
-    spec = est.scenario
-    return (
-        f"{spec.label()},{spec.profile_period()},{spec.n},{spec.d},{spec.alpha:g},"
-        f"{spec.replications},{est.rejections},{_fmt(est.rate, full_precision)},"
-        f"{_fmt(est.std_error, full_precision)}"
-    )
-
-
-def format_table_text(estimates: list[PowerEstimate], full_precision: bool = False) -> str:
-    lines = []
-    width = max(len(e.scenario.label()) for e in estimates)
-    for est in estimates:
-        lines.append(
-            f"{est.scenario.label():<{width}}  rate={_fmt(est.rate, full_precision)}"
-            f"  se={_fmt(est.std_error, full_precision)}"
-            f"  rejections={est.rejections}/{est.scenario.replications}"
-        )
-    return "\n".join(lines)
 
 
 _SCENARIO_KEYS = {

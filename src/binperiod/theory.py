@@ -153,6 +153,20 @@ class AsymptoticSummary:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @property
+    def regime(self) -> PowerRegime:
+        """Classify the limit: e outside A (CONSISTENT: the statistic
+        converges to limit_g), or e in A with constant variance limits
+        (NULL_LIKE: same limit law as under a constant profile), or e in A
+        with non-constant v (R2_LIMIT: a weighted-normal limit law without a
+        known closed form)."""
+        if not self.e_in_A:
+            return PowerRegime.CONSISTENT
+        spread = float(self.v.max() - self.v.min())
+        if spread <= 1e-12 * max(1.0, float(self.v.max())):
+            return PowerRegime.NULL_LIKE
+        return PowerRegime.R2_LIMIT
+
 
 def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     """Compute e, v, gcd structure, A-membership, and the limit statistic."""
@@ -196,14 +210,6 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
 
 
 def predict_power_regime(profile: PeriodicProfile, d: int) -> PowerRegime:
-    """Classify the limit: e outside A (CONSISTENT: the statistic converges
-    to limit_g), or e in A with constant variance limits (NULL_LIKE: same
-    limit law as under a constant profile), or e in A with non-constant v
-    (R2_LIMIT: a weighted-normal limit law without a known closed form)."""
-    summary = detectability(profile, d)
-    if not summary.e_in_A:
-        return PowerRegime.CONSISTENT
-    spread = float(summary.v.max() - summary.v.min())
-    if spread <= 1e-12 * max(1.0, float(summary.v.max())):
-        return PowerRegime.NULL_LIKE
-    return PowerRegime.R2_LIMIT
+    """The regime of ``detectability(profile, d)``; see
+    :attr:`AsymptoticSummary.regime`."""
+    return detectability(profile, d).regime

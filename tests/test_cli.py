@@ -1,10 +1,24 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from binperiod.cli import main, run_test
+from binperiod import cli, theory
+from binperiod.cli import _build_parser, main, run_test
+from binperiod.nulldist import critical_value, p_value
 from binperiod.rng import substream
 from binperiod.series import BinarySeries, read_series, write_series
-from binperiod.simulate import ScenarioSpec, build_profile, simulate_series
+from binperiod.simulate import (
+    ScenarioSpec,
+    build_profile,
+    estimate_power,
+    iter_table,
+    override_scenario,
+    read_scenario,
+    simulate_series,
+)
+from binperiod.theory import PeriodicProfile, detectability, predict_power_regime
 
 
 def run_cli(capsys, *argv):
@@ -199,3 +213,288 @@ def test_bad_token_is_a_clean_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "test", str(path), "--d", "3")
     assert code == 2
     assert "position 3" in err
+
+
+# Reference output: each command's own printing code from before the commands
+# shared one record and cell rule, kept as the oracle that main's stdout must
+# match byte for byte. An oracle rather than a committed golden file, because
+# full-precision FFT digits can differ between numpy builds.
+
+
+def ref_fmt(x: float, full: bool) -> str:
+    return repr(float(x)) if full else f"{x:.4f}"
+
+
+REF_CSV_HEADER = "scenario,r,n,d,alpha,replications,rejections,rate,std_error"
+
+
+def ref_estimate_csv_row(est, full_precision=False):
+    spec = est.scenario
+    return (
+        f"{spec.label()},{spec.profile_period()},{spec.n},{spec.d},{spec.alpha:g},"
+        f"{spec.replications},{est.rejections},{ref_fmt(est.rate, full_precision)},"
+        f"{ref_fmt(est.std_error, full_precision)}"
+    )
+
+
+def ref_format_table_text(estimates, full_precision=False):
+    lines = []
+    width = max(len(e.scenario.label()) for e in estimates)
+    for est in estimates:
+        lines.append(
+            f"{est.scenario.label():<{width}}  rate={ref_fmt(est.rate, full_precision)}"
+            f"  se={ref_fmt(est.std_error, full_precision)}"
+            f"  rejections={est.rejections}/{est.scenario.replications}"
+        )
+    return "\n".join(lines)
+
+
+def ref_test(args):
+    report = run_test(read_series(args.file), d=args.d, alpha=args.alpha)
+    full = args.full_precision
+    if args.csv:
+        print(
+            "n,d,q,blocks,discarded,statistic,degenerate,argmax_j,alpha,"
+            "p_exact,p_approx,k_alpha_exact,k_alpha_approx,decision,decision_exact"
+        )
+        print(
+            f"{report.n},{report.d},{report.q},{report.blocks},{report.discarded},"
+            f"{ref_fmt(report.statistic, full)},{int(report.degenerate)},{report.argmax_j},"
+            f"{report.alpha:g},{ref_fmt(report.p_exact, full)},{ref_fmt(report.p_approx, full)},"
+            f"{ref_fmt(report.k_alpha_exact, full)},{ref_fmt(report.k_alpha_approx, full)},"
+            f"{report.decision},{report.decision_exact}"
+        )
+        return 0
+    print(f"series: n={report.n} (discarded {report.discarded} trailing observations)")
+    print(f"fold:   d={report.d} blocks={report.blocks} q={report.q}")
+    degen = "yes" if report.degenerate else "no"
+    print(
+        f"statistic f = {ref_fmt(report.statistic, full)}"
+        f"  (argmax j = {report.argmax_j}, degenerate: {degen})"
+    )
+    print(
+        f"critical value at alpha={report.alpha:g}:"
+        f" approx {ref_fmt(report.k_alpha_approx, full)},"
+        f" exact {ref_fmt(report.k_alpha_exact, full)}"
+    )
+    print(
+        f"p-value: approx {ref_fmt(report.p_approx, full)},"
+        f" exact {ref_fmt(report.p_exact, full)}"
+    )
+    print(
+        f"decision (approx convention): {report.decision}"
+        f"  [exact convention: {report.decision_exact}]"
+    )
+    return 0
+
+
+def ref_critval(args):
+    crit = critical_value(args.q, args.alpha)
+    full = args.full_precision
+    if args.csv:
+        print("q,alpha,exact,approx")
+        print(f"{crit.q},{crit.alpha:g},{ref_fmt(crit.exact, full)},{ref_fmt(crit.approx, full)}")
+    else:
+        print(
+            f"critical value (q={crit.q}, alpha={crit.alpha:g}):"
+            f" approx {ref_fmt(crit.approx, full)}, exact {ref_fmt(crit.exact, full)}"
+        )
+    return 0
+
+
+def ref_pvalue(args):
+    exact = p_value(args.q, args.x, "exact")
+    approx = p_value(args.q, args.x, "approx")
+    full = args.full_precision
+    if args.csv:
+        print("q,x,p_exact,p_approx")
+        print(f"{args.q},{args.x:g},{ref_fmt(exact, full)},{ref_fmt(approx, full)}")
+    else:
+        print(
+            f"p-value (q={args.q}, x={args.x:g}):"
+            f" approx {ref_fmt(approx, full)}, exact {ref_fmt(exact, full)}"
+        )
+    return 0
+
+
+def ref_read_profile(path):
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if not line.lstrip().startswith("#"):
+                values.extend(float(tok) for tok in line.replace(",", " ").split())
+    return PeriodicProfile(np.array(values))
+
+
+def ref_theory(args):
+    profile = ref_read_profile(args.file)
+    summary = detectability(profile, args.d)
+    regime = predict_power_regime(profile, args.d)
+    full = args.full_precision
+    ds = summary.detect_sum
+    ds_text = (
+        f"{ref_fmt(ds.real, full)}{'+' if ds.imag >= 0 else '-'}{ref_fmt(abs(ds.imag), full)}i"
+    )
+    limit_text = "" if summary.limit_g is None else ref_fmt(summary.limit_g, full)
+    if args.csv:
+        print("field,value")
+        print(f"r,{profile.r}")
+        print(f"d,{args.d}")
+        print(f"b,{summary.b}")
+        print(f"e_in_A,{int(summary.e_in_A)}")
+        print(f"detect_sum_re,{ref_fmt(ds.real, full)}")
+        print(f"detect_sum_im,{ref_fmt(ds.imag, full)}")
+        print(f"detect_nonzero,{int(summary.detect_nonzero)}")
+        print(f"limit_g,{limit_text}")
+        print(f"regime,{regime.value}")
+        print()
+        print("i,e,v")
+        for i in range(args.d):
+            print(f"{i + 1},{ref_fmt(summary.e[i], full)},{ref_fmt(summary.v[i], full)}")
+        return 0
+    print(f"profile: r={profile.r}   fold: d={args.d}   b=gcd(r,d)={summary.b}")
+    print(f"{'i':>4} {'e_i':>12} {'v_i':>12}")
+    for i in range(args.d):
+        print(f"{i + 1:>4} {ref_fmt(summary.e[i], full):>12} {ref_fmt(summary.v[i], full):>12}")
+    print(f"e in A: {'yes' if summary.e_in_A else 'no'}")
+    qualifier = "" if summary.detect_nonzero else "  (numerically zero: inconclusive)"
+    print(f"detect_sum = {ds_text}{qualifier}")
+    if summary.limit_g is not None:
+        print(f"limit_g = {limit_text}")
+    print(f"regime: {regime.value}")
+    return 0
+
+
+def ref_simulate(args):
+    spec = override_scenario(read_scenario(args.file), replications=args.reps, seed=args.seed)
+    est = estimate_power(spec)
+    if args.csv:
+        print(REF_CSV_HEADER)
+        print(ref_estimate_csv_row(est, args.full_precision))
+    else:
+        print(ref_format_table_text([est], args.full_precision))
+        print(f"elapsed: {est.elapsed:.2f}s")
+    return 0
+
+
+def ref_table(args):
+    if args.csv:
+        print(REF_CSV_HEADER)
+        for est in iter_table(args.table, args.reps, args.seed):
+            print(ref_estimate_csv_row(est, args.full_precision), flush=True)
+    else:
+        for est in iter_table(args.table, args.reps, args.seed):
+            print(ref_format_table_text([est], args.full_precision), flush=True)
+    return 0
+
+
+REFERENCE = {
+    "test": ref_test,
+    "critval": ref_critval,
+    "pvalue": ref_pvalue,
+    "theory": ref_theory,
+    "simulate": ref_simulate,
+    "table": ref_table,
+}
+
+
+def reference_main(argv):
+    args = _build_parser().parse_args(argv)
+    try:
+        return REFERENCE[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+OUTPUT_CASES = {
+    "test": ["test", "{sine}", "--d", "60"],
+    "test-discarded": ["test", "{sine}", "--d", "7", "--alpha", "0.001"],
+    "test-degenerate": ["test", "{constant}", "--d", "12"],
+    "test-missing-file": ["test", "{dir}/nope.txt", "--d", "12"],
+    "critval": ["critval", "29", "0.05"],
+    "critval-q1": ["critval", "1", "0.5"],
+    "pvalue": ["pvalue", "29", "0.15"],
+    "pvalue-small-x": ["pvalue", "2", "1e-05"],
+    "pvalue-nan": ["pvalue", "29", "nan"],
+    # b = 3 with a limit; b = 2 (e in A); b = 3 with constant e, so limit_g is
+    # None and the detection sum is numerically zero; b = 2 with R2_LIMIT
+    "theory-b3": ["theory", "{three}", "--d", "6"],
+    "theory-b2": ["theory", "{four}", "--d", "6"],
+    "theory-no-limit": ["theory", "{six}", "--d", "9"],
+    "theory-r2": ["theory", "{two}", "--d", "6"],
+    "simulate": ["simulate", "{scenario}"],
+    "simulate-overrides": ["simulate", "{scenario}", "--reps", "50", "--seed", "3"],
+    "table": ["table", "T5", "--reps", "40", "--seed", "1"],
+    "table-pi": ["table", "PI", "--reps", "200", "--seed", "1"],
+}
+
+FLAG_SETS = {
+    "plain": [],
+    "csv": ["--csv"],
+    "full": ["--full-precision"],
+    "csv-full": ["--csv", "--full-precision"],
+}
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, constant_series_file, sine_series_file):
+    profiles = {
+        "three": "# three-phase profile\n0.2 0.5 0.8\n",
+        "four": "0.3 0.4 0.5 0.6\n",
+        "six": "0.2 0.5 0.8\n0.8 0.5 0.2\n",
+        "two": "0.2, 0.6\n",
+    }
+    paths = {
+        "dir": str(tmp_path),
+        "constant": str(constant_series_file),
+        "sine": str(sine_series_file),
+    }
+    for name, text in profiles.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        "kind = arith_step\nr = 5\nstep = 0.05\nn = 240\nd = 12\n"
+        "alpha = 0.1\nreplications = 300\nseed = 4\n"
+    )
+    paths["scenario"] = str(scenario)
+    return paths
+
+
+def without_elapsed(out: str) -> str:
+    return "".join(line for line in out.splitlines(True) if not line.startswith("elapsed:"))
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS.values(), ids=FLAG_SETS)
+@pytest.mark.parametrize("argv", OUTPUT_CASES.values(), ids=OUTPUT_CASES)
+def test_every_command_prints_reference_output(capsys, cli_inputs, argv, flags):
+    argv = [arg.format(**cli_inputs) for arg in argv] + flags
+    with warnings.catch_warnings():
+        # the pi digits include 0, so the PI profile warns that it touches 0
+        warnings.simplefilter("ignore", UserWarning)
+        code = main(argv)
+        out = capsys.readouterr()
+        ref_code = reference_main(argv)
+        ref = capsys.readouterr()
+    assert code == ref_code
+    assert without_elapsed(out.out) == without_elapsed(ref.out)
+    assert out.err == ref.err
+
+
+def test_theory_command_runs_detectability_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return detectability(*args)
+
+    monkeypatch.setattr(theory, "detectability", counted)
+    monkeypatch.setattr(cli, "detectability", counted)
+    path = tmp_path / "profile.txt"
+    path.write_text("0.2 0.5 0.8\n")
+    code, out, _ = run_cli(capsys, "theory", str(path), "--d", "6")
+    assert code == 0
+    assert "regime: CONSISTENT" in out
+    assert len(calls) == 1

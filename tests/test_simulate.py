@@ -14,11 +14,9 @@ from binperiod.nulldist import critical_value
 from binperiod.rng import block_words, replication_stream, substream
 from binperiod.series import BinarySeries, fold
 from binperiod.simulate import (
-    CSV_HEADER,
     PI_DIGITS,
     ScenarioSpec,
     build_profile,
-    estimate_csv_row,
     estimate_power,
     read_scenario,
     run_table,
@@ -377,14 +375,12 @@ def test_table_specs_layout():
         table_specs("T9")
 
 
-def test_run_table_smoke_and_csv():
+def test_run_table_smoke():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         estimates = run_table("PI", replications=200, seed=1)
     assert len(estimates) == 1
-    row = estimate_csv_row(estimates[0])
-    assert len(row.split(",")) == len(CSV_HEADER.split(","))
-    assert row.startswith("PI_DIGITS[length=120],120,120,12,0.05,200,")
+    assert estimates[0].scenario.label() == "PI_DIGITS[length=120]"
 
 
 def test_scenario_file_round_trip(tmp_path):
