@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -38,7 +37,23 @@ PI_DIGITS = (
     "592307816406286208998628034825342117067982148086513282306647"
 )
 
-KINDS = ("CONSTANT", "ARITH_STEP", "ENDPOINTS", "SINE", "PI_DIGITS", "RANDOM_IID")
+# Each kind's parameters, in label order.
+_PARAMS = {
+    "CONSTANT": ("p1",),
+    "ARITH_STEP": ("r", "step", "mean"),
+    "ENDPOINTS": ("r", "p_lo", "p_hi"),
+    "SINE": ("r",),
+    "PI_DIGITS": ("length",),
+    "RANDOM_IID": (),
+}
+KINDS = tuple(_PARAMS)
+
+# Type of each scenario-file key; label() prints the float ones with :g.
+_SCENARIO_KEYS = {
+    "kind": str.upper,
+    **dict.fromkeys(("n", "d", "replications", "seed", "r", "length"), int),
+    **dict.fromkeys(("alpha", "p1", "step", "mean", "p_lo", "p_hi"), float),
+}
 
 
 @dataclass(frozen=True)
@@ -78,50 +93,33 @@ class ScenarioSpec:
             raise ValueError("invalid level")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.kind == "CONSTANT":
-            if self.p1 is None or not 0.0 <= self.p1 <= 1.0:
-                raise ValueError("CONSTANT needs p1 in [0,1]")
-        elif self.kind == "ARITH_STEP":
-            if self.r is None or self.r < 2 or self.step is None:
-                raise ValueError("ARITH_STEP needs r >= 2 and step")
-            if not 0.0 <= self.mean <= 1.0:
-                raise ValueError("ARITH_STEP needs mean in [0,1]")
-        elif self.kind == "ENDPOINTS":
-            if self.r is None or self.r < 2:
-                raise ValueError("ENDPOINTS needs r >= 2")
-            for val in (self.p_lo, self.p_hi):
-                if val is None or not 0.0 <= val <= 1.0:
-                    raise ValueError("ENDPOINTS needs p_lo and p_hi in [0,1]")
-        elif self.kind == "SINE":
-            if self.r is None or self.r < 2:
-                raise ValueError("SINE needs r >= 2")
-        elif self.kind == "PI_DIGITS":
-            if self.length is None or not 1 <= self.length <= len(PI_DIGITS):
-                raise ValueError(f"PI_DIGITS needs length in 1..{len(PI_DIGITS)}")
+        for name in _PARAMS[self.kind]:
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.kind} needs {name}")
+            if name == "r" and value < 2:
+                raise ValueError(f"{self.kind} needs r >= 2")
+            if name == "length" and not 1 <= value <= len(PI_DIGITS):
+                raise ValueError(f"{self.kind} needs length in 1..{len(PI_DIGITS)}")
+            if name in ("p1", "mean", "p_lo", "p_hi") and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{self.kind} needs {name} in [0,1]")
 
     def profile_period(self) -> int:
-        """Length of the repeating profile; 0 for RANDOM_IID (non-periodic)."""
-        if self.kind == "CONSTANT":
-            return 1
-        if self.kind == "PI_DIGITS":
-            return int(self.length)
-        if self.kind == "RANDOM_IID":
+        """Length of the repeating profile: the kind's first parameter if it is
+        an integer (r, length), else 1 (CONSTANT); 0 for RANDOM_IID."""
+        params = _PARAMS[self.kind]
+        if not params:
             return 0
-        return int(self.r)
+        return int(getattr(self, params[0])) if _SCENARIO_KEYS[params[0]] is int else 1
 
     def label(self) -> str:
         """Short comma-free scenario tag used in the CSV scenario column."""
-        if self.kind == "CONSTANT":
-            return f"CONSTANT[p1={self.p1:g}]"
-        if self.kind == "ARITH_STEP":
-            return f"ARITH_STEP[r={self.r} step={self.step:g} mean={self.mean:g}]"
-        if self.kind == "ENDPOINTS":
-            return f"ENDPOINTS[r={self.r} p_lo={self.p_lo:g} p_hi={self.p_hi:g}]"
-        if self.kind == "SINE":
-            return f"SINE[r={self.r}]"
-        if self.kind == "PI_DIGITS":
-            return f"PI_DIGITS[length={self.length}]"
-        return "RANDOM_IID"
+        cells = " ".join(
+            f"{name}={getattr(self, name):g}" if _SCENARIO_KEYS[name] is float
+            else f"{name}={getattr(self, name)}"
+            for name in _PARAMS[self.kind]
+        )
+        return f"{self.kind}[{cells}]" if cells else self.kind
 
 
 def build_profile(spec: ScenarioSpec) -> PeriodicProfile:
@@ -230,9 +228,11 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     about 2**17 uniforms (at least one row), and the cell holds at most two
     batches' worth at once: up to two shards draw full batches, more shards
     split that budget, and T is 1 when one replication alone is wider than a
-    batch. Shard 0 runs on the calling thread and the others on helper
-    threads, each drawing from its own generator, and the cell's count is
-    the sum of the shards' integer counts, so it is the same for any T.
+    batch. Shard 0 runs on the calling thread and the others on a thread
+    pool, each drawing from its own generator, and the cell's count is the
+    sum of the shards' integer counts, so it is the same for any T. If a
+    shard fails, the call waits for the others and raises the error of the
+    lowest-numbered failed shard.
     ``simulate_series(profile, n, replication_stream(seed, k, n))``
     reproduces replication k alone.
     """
@@ -248,27 +248,17 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     shards = max(1, min(_cpu_count(), batches, budget // words))
     rows = max(1, min(_BATCH_WORDS, budget // shards) // words)
     bounds = [reps * i // shards for i in range(shards + 1)]
-    results: list = [None] * shards
+    # Local import: concurrent.futures loads logging, which only simulating should pay for.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(i: int) -> None:
-        try:
-            results[i] = _count_rejections(spec, probs, k_alpha, bounds[i], bounds[i + 1], rows)
-        except BaseException as exc:  # re-raised on the calling thread
-            results[i] = exc
-
-    helpers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(1, shards)]
-    for thread in helpers:
-        thread.start()
-    try:
+    # Leaving the pool joins the helpers, also when shard 0 raises.
+    with ThreadPoolExecutor(max(1, shards - 1)) as pool:
+        helpers = [
+            pool.submit(_count_rejections, spec, probs, k_alpha, bounds[i], bounds[i + 1], rows)
+            for i in range(1, shards)
+        ]
         rejections = _count_rejections(spec, probs, k_alpha, bounds[0], bounds[1], rows)
-    finally:
-        # Even when shard 0 fails, no helper outlives the call.
-        for thread in helpers:
-            thread.join()
-    for result in results[1:]:
-        if isinstance(result, BaseException):
-            raise result
-        rejections += result
+        rejections += sum(helper.result() for helper in helpers)
     rate = rejections / reps
     std_error = math.sqrt(rate * (1.0 - rate) / reps)
     return PowerEstimate(
@@ -315,17 +305,7 @@ def table_specs(table_id: str, replications: int = 20000, seed: int = 0) -> list
     if table_id == "T5":
         return [ScenarioSpec(kind="SINE", r=r, **common) for r in range(2, 11)]
     if table_id == "PI":
-        return [
-            ScenarioSpec(
-                kind="PI_DIGITS",
-                length=120,
-                n=120,
-                d=12,
-                alpha=0.05,
-                replications=replications,
-                seed=seed,
-            )
-        ]
+        return [ScenarioSpec(kind="PI_DIGITS", length=120, **dict(common, n=120, d=12))]
     raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
 
 
@@ -340,22 +320,16 @@ def run_table(table_id: str, replications: int = 20000, seed: int = 0) -> list[P
     return list(iter_table(table_id, replications, seed))
 
 
-_SCENARIO_KEYS = {
-    "kind": str.upper,
-    **dict.fromkeys(("n", "d", "replications", "seed", "r", "length"), int),
-    **dict.fromkeys(("alpha", "p1", "step", "mean", "p_lo", "p_hi"), float),
-}
-
-
 def read_scenario(path) -> ScenarioSpec:
     """Parse a flat key-value scenario file.
 
     One ``key = value`` pair per line (``:`` also accepted); ``#`` lines are
     comments. Keys: kind, n, d, alpha, replications, seed, p1, r, step, mean,
-    p_lo, p_hi, length, each at most once. Which of the kind-specific keys are
-    required follows :class:`ScenarioSpec`.
+    p_lo, p_hi, length, each at most once. A kind-specific key must be one of
+    the file's kind; which of them are required follows :class:`ScenarioSpec`.
     """
     fields: dict = {}
+    lines: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -375,10 +349,15 @@ def read_scenario(path) -> ScenarioSpec:
                 fields[key] = _SCENARIO_KEYS[key](value)
             except ValueError:
                 raise ValueError(f"line {lineno}: cannot read {key} = {value!r}") from None
+            lines[key] = lineno
     for required in ("kind", "n", "d"):
         if required not in fields:
             raise ValueError(f"scenario file is missing {required!r}")
-    return ScenarioSpec(**fields)
+    spec = ScenarioSpec(**fields)
+    for key, lineno in lines.items():
+        if key not in _PARAMS[spec.kind] and any(key in params for params in _PARAMS.values()):
+            raise ValueError(f"line {lineno}: {spec.kind} has no parameter {key!r}")
+    return spec
 
 
 def override_scenario(spec: ScenarioSpec, **changes) -> ScenarioSpec:

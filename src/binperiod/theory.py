@@ -70,14 +70,14 @@ class PeriodicProfile:
         if np.any((arr == 0.0) | (arr == 1.0)):
             warnings.warn(
                 "profile touches 0 or 1; those positions contribute no variance",
-                stacklevel=2,
+                stacklevel=3,
             )
         s = effective_period(arr)
         if s < arr.size:
             warnings.warn(
                 f"declared period {arr.size} is not minimal"
                 f" (effective period {s})",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -185,6 +185,14 @@ def test_simulate_command(capsys, tmp_path):
     assert row.startswith("CONSTANT[p1=0.5],1,120,12,0.05,100,")
 
 
+def test_simulate_command_random_iid(capsys, tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text("kind = random_iid\nn = 120\nd = 12\nreplications = 100\nseed = 4\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--csv")
+    assert code == 0
+    assert out.strip().splitlines()[1].startswith("RANDOM_IID,0,120,12,0.05,100,")
+
+
 def test_simulate_command_overrides(capsys, tmp_path):
     path = tmp_path / "scenario.txt"
     path.write_text("kind = constant\np1 = 0.5\nn = 120\nd = 12\nreplications = 9999\n")

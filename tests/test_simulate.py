@@ -14,6 +14,7 @@ from binperiod.nulldist import critical_value
 from binperiod.rng import block_words, replication_stream, substream
 from binperiod.series import BinarySeries, fold
 from binperiod.simulate import (
+    KINDS,
     PI_DIGITS,
     ScenarioSpec,
     build_profile,
@@ -430,6 +431,45 @@ def test_scenario_file_missing_required(tmp_path):
     path.write_text("kind = constant\np1 = 0.5\nd = 6\n")
     with pytest.raises(ValueError, match="missing 'n'"):
         read_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind = sine\nr = 4\nstep = 0.5\nn = 60\nd = 6\n", "line 3: SINE has no parameter 'step'"),
+        ("r = 4\nkind = random_iid\nn = 60\nd = 6\n", "line 1: RANDOM_IID has no parameter 'r'"),
+        ("kind = constant\np1 = 0.5\nn = 60\nd = 6\nmean = 0.5\n", "line 5: CONSTANT has no parameter 'mean'"),
+    ],
+    ids=["sine-step", "random_iid-r", "constant-mean"],
+)
+def test_scenario_file_rejects_another_kinds_key(tmp_path, text, message):
+    path = tmp_path / "scenario.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_scenario(path)
+
+
+def test_label_and_period_of_every_kind():
+    common = dict(n=60, d=6)
+    cases = [
+        (ScenarioSpec(kind="CONSTANT", p1=0.25, **common), "CONSTANT[p1=0.25]", 1),
+        (
+            ScenarioSpec(kind="ARITH_STEP", r=30, step=0.01, **common),
+            "ARITH_STEP[r=30 step=0.01 mean=0.5]",
+            30,
+        ),
+        (
+            ScenarioSpec(kind="ENDPOINTS", r=4, p_lo=0.4, p_hi=1e-7, **common),
+            "ENDPOINTS[r=4 p_lo=0.4 p_hi=1e-07]",
+            4,
+        ),
+        (ScenarioSpec(kind="SINE", r=10**7, **common), "SINE[r=10000000]", 10**7),
+        (ScenarioSpec(kind="PI_DIGITS", length=120, **common), "PI_DIGITS[length=120]", 120),
+        (ScenarioSpec(kind="RANDOM_IID", **common), "RANDOM_IID", 0),
+    ]
+    assert [spec.kind for spec, _, _ in cases] == list(KINDS)
+    for spec, label, period in cases:
+        assert (spec.label(), spec.profile_period()) == (label, period)
 
 
 def test_labels_are_csv_safe():

@@ -194,6 +194,14 @@ def test_profile_warns_on_boundary_probability():
         PeriodicProfile([0.0, 0.5])
 
 
+def test_profile_warnings_name_the_caller():
+    # Not the dataclass-generated __init__ (filename "<string>").
+    with pytest.warns(UserWarning) as record:
+        PeriodicProfile([0.0, 0.5])
+        PeriodicProfile([0.3, 0.6, 0.3, 0.6])
+    assert [w.filename for w in record] == [__file__, __file__]
+
+
 def test_profile_warns_on_non_minimal_period():
     with pytest.warns(UserWarning, match="effective period 2"):
         PeriodicProfile([0.3, 0.6, 0.3, 0.6])
