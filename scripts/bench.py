@@ -17,9 +17,10 @@ metrics with every run's value, the pairs the change won on each metric
 (with ``--parent``), the per-layer metrics, the tier-1 wall time and the
 ``src/`` line count. A checkout whose ``src/`` differs from its HEAD is
 named ``BENCH_<short-commit>+<first 8 hex digits of its src_sha256>``.
-``mc_table`` gets no per-layer metrics: perfbench's tracer keeps one span
-stack for all threads, so the spans of ``estimate_power``'s helper threads
-get wrong parents and wall times.
+``mc_table`` and ``limit_sampler`` get no per-layer metrics: both Monte
+Carlo engines run shards on helper threads, and perfbench's tracer keeps one
+span stack for all threads, so the helpers' spans get wrong parents and
+wall times.
 Times are at the reference speed of ``perfbench/speed.py``; wall-clock
 figures on a small shared machine are noisy, so nothing here gates a test.
 """
@@ -37,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc_table", "limit_sampler", "test_requests")
-UNTRACED = ("mc_table",)  # sharded on helper threads; the tracer is not thread-aware
+UNTRACED = ("mc_table", "limit_sampler")  # sharded on helper threads; the tracer is not thread-aware
 PAIRS = 10
 SECONDS = 20.0
 FIRST_SEED = 1000

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
+# Names of this module, so that tests can patch the CPU count and batch size here.
+from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
+from .rng import _check_seed, substream
 from .spectral import GStatistic, fisher_g_batch
 
 __all__ = [
@@ -188,6 +190,15 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
     the rows left in the last group. Rows are filled in order, so a shorter
     ``count`` gives a prefix of a longer one. With equal weights this
     samples the exact null law of :func:`tail`.
+
+    The groups are split into T contiguous shards, T the number of CPUs in
+    the process's affinity mask capped at the number of groups, and
+    :func:`binperiod.rng._run_shards` runs them; each shard writes its
+    slice of the result. A shard draws a group's rows in sub-batches, in
+    row order, into one buffer of at most 256 rows and about 2**17 doubles,
+    and more than two shards split two such buffers' worth (52 rows at
+    d = 2520 for T <= 2). numpy fills rows in order, so every draw is the
+    same for any T.
     """
     if d < 3:
         raise ValueError("q would be 0")
@@ -198,9 +209,21 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
         raise ValueError("invalid weight")
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_seed(seed)
+    groups = -(-count // _GROUP)
+    shards = min(_cpu_count(), groups)
+    rows = max(1, min(_GROUP, min(_BATCH_WORDS, _CELL_BATCHES * _BATCH_WORDS // shards) // d))
     out = np.empty(count)
-    for start in range(0, count, _GROUP):
-        m = min(_GROUP, count - start)
-        normals = substream(seed, start // _GROUP).standard_normal((m, d))
-        out[start : start + m], _, _ = fisher_g_batch(normals * w)
+
+    def draw(first: int, stop: int) -> None:
+        buf = np.empty((min(rows, count - first * _GROUP), d))
+        for group in range(first, stop):
+            gen = substream(seed, group)
+            end = min((group + 1) * _GROUP, count)
+            for start in range(group * _GROUP, end, rows):
+                normals = gen.standard_normal(out=buf[: min(rows, end - start)])
+                normals *= w
+                out[start : start + len(normals)], _, _ = fisher_g_batch(normals)
+
+    _run_shards(draw, groups, shards)
     return out

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
 
 from .nulldist import _approx_critical_value
+# Names of this module, so that tests can patch the CPU count and batch size here.
+from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
 from .rng import block_words, replication_stream
 from .series import BinarySeries
 from .spectral import fisher_g_batch, num_frequencies
@@ -165,26 +166,6 @@ class PowerEstimate:
     elapsed: float
 
 
-# Uniforms per batch of a serial cell: about 1 MiB of doubles (109 rows at
-# n = 1200). Whole 1024-row batches raised the peak RSS of one n = 1200 cell
-# from 37 to 48 MB (58 MB for RANDOM_IID); with this cap it stays at the
-# interpreter's 37 MB.
-_BATCH_WORDS = 2**17
-# Batches of uniforms a sharded cell holds at once. Two shards draw full
-# batches (on 2 CPUs the second raised mc_table's peak RSS from 42.4 to
-# 44.3 MB); more shards split this budget, so the working set does not grow
-# with the CPU count.
-_CELL_BATCHES = 2
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _count_rejections(
     spec: ScenarioSpec, probs, k_alpha: float, start: int, stop: int, rows: int
 ) -> int:
@@ -228,11 +209,9 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     about 2**17 uniforms (at least one row), and the cell holds at most two
     batches' worth at once: up to two shards draw full batches, more shards
     split that budget, and T is 1 when one replication alone is wider than a
-    batch. Shard 0 runs on the calling thread and the others on a thread
-    pool, each drawing from its own generator, and the cell's count is the
-    sum of the shards' integer counts, so it is the same for any T. If a
-    shard fails, the call waits for the others and raises the error of the
-    lowest-numbered failed shard.
+    batch. :func:`binperiod.rng._run_shards` runs the shards, each drawing
+    from its own generator, and the cell's count is the sum of the shards'
+    integer counts, so it is the same for any T.
     ``simulate_series(profile, n, replication_stream(seed, k, n))``
     reproduces replication k alone.
     """
@@ -247,18 +226,11 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     batches = -(-reps // max(1, _BATCH_WORDS // words))
     shards = max(1, min(_cpu_count(), batches, budget // words))
     rows = max(1, min(_BATCH_WORDS, budget // shards) // words)
-    bounds = [reps * i // shards for i in range(shards + 1)]
-    # Local import: concurrent.futures loads logging, which only simulating should pay for.
-    from concurrent.futures import ThreadPoolExecutor
 
-    # Leaving the pool joins the helpers, also when shard 0 raises.
-    with ThreadPoolExecutor(max(1, shards - 1)) as pool:
-        helpers = [
-            pool.submit(_count_rejections, spec, probs, k_alpha, bounds[i], bounds[i + 1], rows)
-            for i in range(1, shards)
-        ]
-        rejections = _count_rejections(spec, probs, k_alpha, bounds[0], bounds[1], rows)
-        rejections += sum(helper.result() for helper in helpers)
+    def count(start: int, stop: int) -> int:
+        return _count_rejections(spec, probs, k_alpha, start, stop, rows)
+
+    rejections = sum(_run_shards(count, reps, shards))
     rate = rejections / reps
     std_error = math.sqrt(rate * (1.0 - rate) / reps)
     return PowerEstimate(

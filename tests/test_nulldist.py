@@ -1,11 +1,19 @@
 import math
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binperiod
+from binperiod import nulldist
 from binperiod.nulldist import (
     critical_value,
     p_value,
@@ -229,6 +237,122 @@ def test_sampler_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def serial_limit_statistic(d, weights, count, seed):
+    """The unsharded sampler: one whole group of up to 256 rows at a time."""
+    out = np.empty(count)
+    for start in range(0, count, 256):
+        m = min(256, count - start)
+        normals = substream(seed, start // 256).standard_normal((m, d))
+        out[start : start + m], _, _ = fisher_g_batch(normals * weights)
+    return out
+
+
+@pytest.mark.parametrize("d", [11, 60, 2520])
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+def test_draws_do_not_depend_on_worker_count(monkeypatch, d, equal):
+    w = np.ones(d) if equal else np.random.default_rng(d).uniform(0.2, 3.0, d)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the shards as finely as we can
+    try:
+        for count in (1, 255, 257, 600, 1000):
+            expected = serial_limit_statistic(d, w, count, seed=d)
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(nulldist, "_cpu_count", lambda: workers)
+                got = sample_limit_statistic(d, w, count, seed=d)
+                assert np.array_equal(got, expected), (count, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sampler_helper_exception_reaches_caller(monkeypatch):
+    monkeypatch.setattr(nulldist, "_cpu_count", lambda: 2)
+    outcome = []
+
+    def failing_in_helpers(x):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("shard 1 failed")
+        return fisher_g_batch(x)
+
+    def call():
+        try:
+            sample_limit_statistic(60, np.ones(60), 1000)
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    monkeypatch.setattr(nulldist, "fisher_g_batch", failing_in_helpers)
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in outcome] == ["shard 1 failed"]
+
+
+def test_sampler_caller_failure_joins_helpers(monkeypatch):
+    monkeypatch.setattr(nulldist, "_cpu_count", lambda: 2)
+
+    def failing_in_caller(x):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError("shard 0 failed")
+        time.sleep(0.02)  # keeps the helper busy well after shard 0 fails
+        return fisher_g_batch(x)
+
+    monkeypatch.setattr(nulldist, "fisher_g_batch", failing_in_caller)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="shard 0 failed"):
+        sample_limit_statistic(60, np.ones(60), 1000)
+    assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+
+def test_sampler_working_set_does_not_grow_with_workers(monkeypatch):
+    # Eight shards share two batches' worth of rows (13 rows each at
+    # d = 2520) instead of holding eight 256-row groups (about 39 MiB).
+    monkeypatch.setattr(nulldist, "_cpu_count", lambda: 8)
+    tracemalloc.start()
+    try:
+        sample_limit_statistic(2520, np.ones(2520), 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sampler_checks_seed_before_sharding(monkeypatch, seed):
+    monkeypatch.setattr(nulldist, "_cpu_count", lambda: 8)
+
+    def no_shards(work, total, shards):
+        raise AssertionError("sharded with an invalid seed")
+
+    monkeypatch.setattr(nulldist, "_run_shards", no_shards)
+    with pytest.raises(ValueError, match="seed"):
+        sample_limit_statistic(60, np.ones(60), 1000, seed=seed)
+
+
+def test_single_shard_calls_start_no_thread():
+    # One sampler group and one estimate_power batch run as plain calls:
+    # no thread, and no import of concurrent.futures (which loads logging).
+    script = textwrap.dedent(
+        f"""
+        import sys, threading
+        sys.path.insert(0, {str(Path(binperiod.__file__).parent.parent)!r})
+        started = []
+        start = threading.Thread.start
+        threading.Thread.start = lambda self: (started.append(self), start(self))
+        import numpy as np
+        import binperiod
+        from binperiod.nulldist import sample_limit_statistic
+        from binperiod.simulate import ScenarioSpec, estimate_power
+        assert "concurrent.futures" not in sys.modules and "logging" not in sys.modules
+        sample_limit_statistic(2520, np.ones(2520), 8)
+        estimate_power(ScenarioSpec(kind="SINE", r=6, n=1200, d=60, replications=64))
+        assert "concurrent.futures" not in sys.modules, "imported concurrent.futures"
+        assert not started, started
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sampler_validates_weights():
