@@ -24,6 +24,7 @@ doubles, and a call holds at most ``_CELL_BATCHES`` batches' worth at once.
 
 from __future__ import annotations
 
+import operator
 import os
 
 import numpy as np
@@ -73,15 +74,20 @@ def _run_shards(work, total: int, shards: int) -> list:
         return [first] + [helper.result() for helper in helpers]
 
 
-def _check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` fits in an unsigned 64-bit integer."""
+def _check_seed(seed: int) -> int:
+    """Return ``seed`` as a Python int, or raise ValueError unless it is an
+    integer (not a bool) that fits in an unsigned 64-bit integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = operator.index(seed)
     if not 0 <= seed < _UINT64_MAX:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Return the independent generator keyed by ``(seed, index)``."""
-    _check_seed(seed)
+    seed = _check_seed(seed)
     if not 0 <= index < _UINT64_MAX:
         raise ValueError("index must fit in an unsigned 64-bit integer")
     key = np.array([seed, index], dtype=np.uint64)

@@ -11,9 +11,9 @@ import numpy as np
 from .nulldist import _approx_critical_value
 # Names of this module, so that tests can patch the CPU count and batch size here.
 from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
-from .rng import block_words, replication_stream
+from .rng import _check_seed, block_words, replication_stream
 from .series import BinarySeries
-from .spectral import fisher_g_batch, num_frequencies
+from .spectral import _fisher_g_rows, num_frequencies
 from .theory import PeriodicProfile
 
 __all__ = [
@@ -94,6 +94,7 @@ class ScenarioSpec:
             raise ValueError("invalid level")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        _check_seed(self.seed)
         for name in _PARAMS[self.kind]:
             value = getattr(self, name)
             if value is None:
@@ -173,20 +174,24 @@ def _count_rejections(
 
     ``probs`` is the length-n profile, or None for RANDOM_IID. The shard
     draws ``rows`` replications at a time from its own generator, advanced
-    to replication ``start``.
+    to replication ``start``, into one buffer, and computes their ordinates
+    in two ``(rows, q)`` buffers; all three are allocated once and reused on
+    every batch.
     """
     n, d = spec.n, spec.d
     blocks = n // d
     width = n if probs is not None else 2 * n
     rng = replication_stream(spec.seed, start, width)
     buf = np.empty((min(rows, stop - start), block_words(width)))
+    ordinates = np.empty((len(buf), num_frequencies(d)))
+    spare = np.empty_like(ordinates)
     rejections = 0
     while start < stop:
         m = min(rows, stop - start)
         u = rng.random(out=buf[:m])
         bits = u[:, :n] < probs if probs is not None else u[:, n:width] < u[:, :n]
         counts = bits[:, : blocks * d].reshape(m, blocks, d).sum(axis=1)
-        values, _, _ = fisher_g_batch(counts / blocks)
+        values, _, _ = _fisher_g_rows(counts / blocks, ordinates[:m], spare[:m])
         rejections += int(np.count_nonzero(values > k_alpha))
         start += m
     return rejections
@@ -210,7 +215,9 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     batches' worth at once: up to two shards draw full batches, more shards
     split that budget, and T is 1 when one replication alone is wider than a
     batch. :func:`binperiod.rng._run_shards` runs the shards, each drawing
-    from its own generator, and the cell's count is the sum of the shards'
+    from its own generator into its own batch buffer and computing
+    periodogram ordinates in its own two ``(rows, q)`` buffers, allocated
+    once and reused on every batch; the cell's count is the sum of the shards'
     integer counts, so it is the same for any T.
     ``simulate_series(profile, n, replication_stream(seed, k, n))``
     reproduces replication k alone.

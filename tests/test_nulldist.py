@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from binperiod.nulldist import (
     tail,
     tail_approx,
 )
-from binperiod.rng import substream
-from binperiod.spectral import GStatistic, fisher_g_batch
+from binperiod.rng import replication_stream, substream
+from binperiod.simulate import ScenarioSpec, estimate_power
+from binperiod.spectral import GStatistic, _fisher_g_rows, fisher_g_batch
 
 
 def tail_fraction(q: int, x: Fraction) -> Fraction:
@@ -270,10 +272,10 @@ def test_sampler_helper_exception_reaches_caller(monkeypatch):
     monkeypatch.setattr(nulldist, "_cpu_count", lambda: 2)
     outcome = []
 
-    def failing_in_helpers(x):
+    def failing_in_helpers(x, out, spare):
         if threading.current_thread() is not caller:
             raise RuntimeError("shard 1 failed")
-        return fisher_g_batch(x)
+        return _fisher_g_rows(x, out, spare)
 
     def call():
         try:
@@ -281,7 +283,7 @@ def test_sampler_helper_exception_reaches_caller(monkeypatch):
         except RuntimeError as exc:
             outcome.append(exc)
 
-    monkeypatch.setattr(nulldist, "fisher_g_batch", failing_in_helpers)
+    monkeypatch.setattr(nulldist, "_fisher_g_rows", failing_in_helpers)
     caller = threading.Thread(target=call, daemon=True)
     caller.start()
     caller.join(timeout=60)
@@ -292,13 +294,13 @@ def test_sampler_helper_exception_reaches_caller(monkeypatch):
 def test_sampler_caller_failure_joins_helpers(monkeypatch):
     monkeypatch.setattr(nulldist, "_cpu_count", lambda: 2)
 
-    def failing_in_caller(x):
+    def failing_in_caller(x, out, spare):
         if threading.current_thread() is threading.main_thread():
             raise RuntimeError("shard 0 failed")
         time.sleep(0.02)  # keeps the helper busy well after shard 0 fails
-        return fisher_g_batch(x)
+        return _fisher_g_rows(x, out, spare)
 
-    monkeypatch.setattr(nulldist, "fisher_g_batch", failing_in_caller)
+    monkeypatch.setattr(nulldist, "_fisher_g_rows", failing_in_caller)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="shard 0 failed"):
         sample_limit_statistic(60, np.ones(60), 1000)
@@ -328,6 +330,39 @@ def test_sampler_checks_seed_before_sharding(monkeypatch, seed):
     monkeypatch.setattr(nulldist, "_run_shards", no_shards)
     with pytest.raises(ValueError, match="seed"):
         sample_limit_statistic(60, np.ones(60), 1000, seed=seed)
+
+
+NOT_INTEGERS = [1.5, 2.0, True, math.nan]
+INTEGER_ARGUMENTS = {
+    "substream": ("seed", lambda v: substream(v, 0)),
+    "replication_stream": ("seed", lambda v: replication_stream(v, 0, 4)),
+    "sample_limit_statistic": ("seed", lambda v: sample_limit_statistic(5, np.ones(5), 3, seed=v)),
+    "ScenarioSpec": ("seed", lambda v: ScenarioSpec(kind="SINE", r=6, n=120, d=12, seed=v)),
+    "critical_value": ("q", lambda v: critical_value(v, 0.05)),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ARGUMENTS)
+def test_integer_arguments_refuse_other_values(entry, value):
+    # 1.5 and 2.0 were truncated to seed 1 and 2, and True read as 1.
+    name, call = INTEGER_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=lambda s: type(s).__name__)
+def test_numpy_integer_seeds_draw_as_python_ints(seed):
+    assert np.array_equal(substream(seed, 0).random(4), substream(5, 0).random(4))
+    assert np.array_equal(
+        replication_stream(seed, 3, 6).random(8), replication_stream(5, 3, 6).random(8)
+    )
+    w = np.linspace(0.5, 2.0, 11)
+    assert np.array_equal(
+        sample_limit_statistic(11, w, 300, seed=seed), sample_limit_statistic(11, w, 300, seed=5)
+    )
+    spec = ScenarioSpec(kind="SINE", r=6, n=120, d=12, replications=200, seed=5)
+    assert estimate_power(replace(spec, seed=seed)).rejections == estimate_power(spec).rejections
 
 
 def test_single_shard_calls_start_no_thread():

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from binperiod.spectral import (
+    _fisher_g_rows,
     fisher_g,
     fisher_g_batch,
     num_frequencies,
@@ -177,6 +178,39 @@ def test_unit_spike_ties_resolve_to_first_frequency(d):
         assert stat.argmax_j == 1, pos
         assert stat.value == pytest.approx(1.0 / q, rel=1e-12)
         assert not stat.degenerate
+
+
+def ordinate_rows(d):
+    """Nine rows: random ones, a constant row (row 2), a constant-plus-
+    alternating row at even d, and three unit spikes (all ordinates tied)
+    last."""
+    rng = np.random.default_rng(d)
+    rows = [rng.normal(size=d), rng.integers(0, 21, size=d) / 20.0, np.full(d, 0.3)]
+    if d % 2 == 0:
+        rows.append(np.where(np.arange(d) % 2 == 0, 7.0, 13.0) / 20.0)
+    rows += [rng.normal(size=d) for _ in range(6 - len(rows))]
+    return np.stack(rows + [np.eye(1, d, pos)[0] for pos in (0, d // 2, d - 1)])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 12, 60, 1001, 2520])
+def test_ordinates_and_reused_buffers_are_bit_identical(d):
+    # The sharded engines and their serial references share this arithmetic,
+    # so the worker-count tests cannot see a change to it; this pins it.
+    x = ordinate_rows(d)
+    coef = np.fft.rfft(x, axis=1)[:, 1 : num_frequencies(d) + 1]
+    assert np.array_equal(periodogram_batch(x), (coef.real**2 + coef.imag**2) / d)
+
+    # Dirty buffers with more rows than any batch, reused as the engines do:
+    # the whole batch, a shorter last one, and the whole batch again.
+    out = np.full((len(x) + 3, num_frequencies(d)), np.nan)
+    spare = np.full_like(out, -1e300)
+    for rows in (x, x[-4:], x):
+        got = _fisher_g_rows(rows, out[: len(rows)], spare[: len(rows)])
+        for field, a, b in zip(("values", "argmax", "degenerate"), got, fisher_g_batch(rows)):
+            assert np.array_equal(a, b), (d, len(rows), field)
+    _, argmax, degenerate = fisher_g_batch(x)
+    assert degenerate[2] and degenerate[3] == (d % 2 == 0) and not degenerate[-3:].any()
+    assert np.all(argmax[-3:] == 1)
 
 
 def _spectral_atol(*ordinate_sets):
