@@ -26,7 +26,7 @@ import numpy as np
 # Names of this module, so that tests can patch the CPU count and batch size here.
 from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
 from .rng import _check_seed, substream
-from .spectral import GStatistic, _fisher_g_rows, num_frequencies
+from .spectral import GStatistic, fisher_g_batch
 
 __all__ = [
     "BISECTION_TOL",
@@ -197,10 +197,8 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
     slice of the result. A shard draws a group's rows in sub-batches, in
     row order, into one buffer of at most 256 rows and about 2**17 doubles,
     and more than two shards split two such buffers' worth (52 rows at
-    d = 2520 for T <= 2). The shard also holds two ``(rows, q)`` buffers for
-    the periodogram ordinates; it allocates all three once and reuses them
-    on every sub-batch (1.0 MB + 2 x 0.5 MB at d = 2520). numpy fills rows
-    in order, so every draw is the same for any T.
+    d = 2520 for T <= 2). numpy fills rows in order, so every draw is the
+    same for any T.
     """
     if d < 3:
         raise ValueError("q would be 0")
@@ -219,16 +217,13 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
 
     def draw(first: int, stop: int) -> None:
         buf = np.empty((min(rows, count - first * _GROUP), d))
-        ordinates = np.empty((len(buf), num_frequencies(d)))
-        spare = np.empty_like(ordinates)
         for group in range(first, stop):
             gen = substream(seed, group)
             end = min((group + 1) * _GROUP, count)
             for start in range(group * _GROUP, end, rows):
-                m = min(rows, end - start)
-                normals = gen.standard_normal(out=buf[:m])
+                normals = gen.standard_normal(out=buf[: min(rows, end - start)])
                 normals *= w
-                out[start : start + m], _, _ = _fisher_g_rows(normals, ordinates[:m], spare[:m])
+                out[start : start + len(normals)], _, _ = fisher_g_batch(normals)
 
     _run_shards(draw, groups, shards)
     return out

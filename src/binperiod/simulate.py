@@ -13,7 +13,7 @@ from .nulldist import _approx_critical_value
 from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
 from .rng import _check_seed, block_words, replication_stream
 from .series import BinarySeries
-from .spectral import _fisher_g_rows, num_frequencies
+from .spectral import fisher_g_batch, num_frequencies
 from .theory import PeriodicProfile
 
 __all__ = [
@@ -49,10 +49,12 @@ _PARAMS = {
 }
 KINDS = tuple(_PARAMS)
 
-# Type of each scenario-file key; label() prints the float ones with :g.
+# Type of each scenario-file key; label() prints the float ones with :g. A
+# seed out of range fails here, so that its error names the line.
 _SCENARIO_KEYS = {
     "kind": str.upper,
-    **dict.fromkeys(("n", "d", "replications", "seed", "r", "length"), int),
+    **dict.fromkeys(("n", "d", "replications", "r", "length"), int),
+    "seed": lambda value: _check_seed(int(value)),
     **dict.fromkeys(("alpha", "p1", "step", "mean", "p_lo", "p_hi"), float),
 }
 
@@ -174,24 +176,20 @@ def _count_rejections(
 
     ``probs`` is the length-n profile, or None for RANDOM_IID. The shard
     draws ``rows`` replications at a time from its own generator, advanced
-    to replication ``start``, into one buffer, and computes their ordinates
-    in two ``(rows, q)`` buffers; all three are allocated once and reused on
-    every batch.
+    to replication ``start``.
     """
     n, d = spec.n, spec.d
     blocks = n // d
     width = n if probs is not None else 2 * n
     rng = replication_stream(spec.seed, start, width)
     buf = np.empty((min(rows, stop - start), block_words(width)))
-    ordinates = np.empty((len(buf), num_frequencies(d)))
-    spare = np.empty_like(ordinates)
     rejections = 0
     while start < stop:
         m = min(rows, stop - start)
         u = rng.random(out=buf[:m])
         bits = u[:, :n] < probs if probs is not None else u[:, n:width] < u[:, :n]
         counts = bits[:, : blocks * d].reshape(m, blocks, d).sum(axis=1)
-        values, _, _ = _fisher_g_rows(counts / blocks, ordinates[:m], spare[:m])
+        values, _, _ = fisher_g_batch(counts / blocks)
         rejections += int(np.count_nonzero(values > k_alpha))
         start += m
     return rejections
@@ -215,9 +213,7 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     batches' worth at once: up to two shards draw full batches, more shards
     split that budget, and T is 1 when one replication alone is wider than a
     batch. :func:`binperiod.rng._run_shards` runs the shards, each drawing
-    from its own generator into its own batch buffer and computing
-    periodogram ordinates in its own two ``(rows, q)`` buffers, allocated
-    once and reused on every batch; the cell's count is the sum of the shards'
+    from its own generator, and the cell's count is the sum of the shards'
     integer counts, so it is the same for any T.
     ``simulate_series(profile, n, replication_stream(seed, k, n))``
     reproduces replication k alone.

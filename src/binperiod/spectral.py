@@ -53,28 +53,18 @@ def _as_matrix(x) -> np.ndarray:
     return arr
 
 
-def _periodogram(arr: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Write the ordinates of each row of the float matrix ``arr`` into ``out``.
-
-    ``out`` and ``spare`` are ``(rows, q)`` float buffers; ``spare`` is
-    scratch. The result is ``(coef.real**2 + coef.imag**2) / d`` bit for bit.
-    """
-    # Fresh temporaries of this size (0.5 MB each at 52 rows, d = 2520) cost
-    # more than the arithmetic, so the Monte Carlo shards pass the same
-    # buffers on every sub-batch.
-    d = arr.shape[1]
-    coef = np.fft.rfft(arr, axis=1)[:, 1 : num_frequencies(d) + 1]
-    np.square(coef.real, out=out)
-    out += np.square(coef.imag, out=spare)
-    out /= d
-    return out
-
-
 def periodogram_batch(x) -> np.ndarray:
     """Periodogram ordinates I(omega_1..omega_q) for each row of ``x``."""
     arr = _as_matrix(x)
-    out = np.empty((len(arr), num_frequencies(arr.shape[1])))
-    return _periodogram(arr, out, np.empty_like(out))
+    d = arr.shape[1]
+    coef = np.fft.rfft(arr, axis=1)[:, 1 : num_frequencies(d) + 1]
+    # (coef.real**2 + coef.imag**2) / d bit for bit, but with one fresh array
+    # instead of three: at the sampler's 52 x 1259 ordinates each is 0.5 MB,
+    # and fresh temporaries of that size cost more than the arithmetic.
+    out = np.square(coef.real)
+    out += np.square(coef.imag, out=coef.imag)
+    out /= d
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,20 +98,13 @@ def fisher_g_batch(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``ValueError``.
     """
     arr = _as_matrix(x)
-    out = np.empty((len(arr), num_frequencies(arr.shape[1])))
-    return _fisher_g_rows(arr, out, np.empty_like(out))
-
-
-def _fisher_g_rows(arr: np.ndarray, out: np.ndarray, spare: np.ndarray):
-    """:func:`fisher_g_batch` of the float matrix ``arr``, with its ordinates
-    computed in the ``(rows, q)`` buffers ``out`` and ``spare``."""
     d = arr.shape[1]
     # energy is NaN or inf exactly where a row has a NaN or infinite entry or
     # its squares overflow, so the check reads one value per row.
     energy = np.einsum("ij,ij->i", arr, arr)
     if not np.isfinite(energy).all():
         raise ValueError("input has a NaN or infinite value, or overflows when squared")
-    ordinates = _periodogram(arr, out, spare)
+    ordinates = periodogram_batch(arr)
     total = ordinates.sum(axis=1)
     peak = ordinates.max(axis=1)
     near_peak = ordinates >= (peak * (1.0 - _TIE_REL_TOL))[:, None]

@@ -24,7 +24,7 @@ from binperiod.nulldist import (
 )
 from binperiod.rng import replication_stream, substream
 from binperiod.simulate import ScenarioSpec, estimate_power
-from binperiod.spectral import GStatistic, _fisher_g_rows, fisher_g_batch
+from binperiod.spectral import GStatistic, fisher_g_batch
 
 
 def tail_fraction(q: int, x: Fraction) -> Fraction:
@@ -272,10 +272,10 @@ def test_sampler_helper_exception_reaches_caller(monkeypatch):
     monkeypatch.setattr(nulldist, "_cpu_count", lambda: 2)
     outcome = []
 
-    def failing_in_helpers(x, out, spare):
+    def failing_in_helpers(x):
         if threading.current_thread() is not caller:
             raise RuntimeError("shard 1 failed")
-        return _fisher_g_rows(x, out, spare)
+        return fisher_g_batch(x)
 
     def call():
         try:
@@ -283,7 +283,7 @@ def test_sampler_helper_exception_reaches_caller(monkeypatch):
         except RuntimeError as exc:
             outcome.append(exc)
 
-    monkeypatch.setattr(nulldist, "_fisher_g_rows", failing_in_helpers)
+    monkeypatch.setattr(nulldist, "fisher_g_batch", failing_in_helpers)
     caller = threading.Thread(target=call, daemon=True)
     caller.start()
     caller.join(timeout=60)
@@ -294,13 +294,13 @@ def test_sampler_helper_exception_reaches_caller(monkeypatch):
 def test_sampler_caller_failure_joins_helpers(monkeypatch):
     monkeypatch.setattr(nulldist, "_cpu_count", lambda: 2)
 
-    def failing_in_caller(x, out, spare):
+    def failing_in_caller(x):
         if threading.current_thread() is threading.main_thread():
             raise RuntimeError("shard 0 failed")
         time.sleep(0.02)  # keeps the helper busy well after shard 0 fails
-        return _fisher_g_rows(x, out, spare)
+        return fisher_g_batch(x)
 
-    monkeypatch.setattr(nulldist, "_fisher_g_rows", failing_in_caller)
+    monkeypatch.setattr(nulldist, "fisher_g_batch", failing_in_caller)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="shard 0 failed"):
         sample_limit_statistic(60, np.ones(60), 1000)

@@ -24,7 +24,7 @@ from binperiod.simulate import (
     simulate_series,
     table_specs,
 )
-from binperiod.spectral import _fisher_g_rows, fisher_g, num_frequencies
+from binperiod.spectral import fisher_g, fisher_g_batch, num_frequencies
 from binperiod.theory import PeriodicProfile
 
 
@@ -262,10 +262,10 @@ def test_helper_exception_reaches_caller(monkeypatch):
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     outcome = []
 
-    def failing_in_helpers(x, out, spare):
+    def failing_in_helpers(x):
         if threading.current_thread() is not caller:
             raise RuntimeError("shard 1 failed")
-        return _fisher_g_rows(x, out, spare)
+        return fisher_g_batch(x)
 
     def call():
         try:
@@ -273,7 +273,7 @@ def test_helper_exception_reaches_caller(monkeypatch):
         except RuntimeError as exc:
             outcome.append(exc)
 
-    monkeypatch.setattr(simulate, "_fisher_g_rows", failing_in_helpers)
+    monkeypatch.setattr(simulate, "fisher_g_batch", failing_in_helpers)
     caller = threading.Thread(target=call, daemon=True)
     caller.start()
     caller.join(timeout=60)
@@ -285,13 +285,13 @@ def test_caller_failure_joins_helpers(monkeypatch):
     spec = ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=2000, seed=3)
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
 
-    def failing_in_caller(x, out, spare):
+    def failing_in_caller(x):
         if threading.current_thread() is threading.main_thread():
             raise RuntimeError("shard 0 failed")
         time.sleep(0.02)  # keeps the helper busy well after shard 0 fails
-        return _fisher_g_rows(x, out, spare)
+        return fisher_g_batch(x)
 
-    monkeypatch.setattr(simulate, "_fisher_g_rows", failing_in_caller)
+    monkeypatch.setattr(simulate, "fisher_g_batch", failing_in_caller)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="shard 0 failed"):
         estimate_power(spec)
@@ -416,6 +416,16 @@ def test_scenario_file_bad_value_names_line_and_key(tmp_path):
     path = tmp_path / "scenario.txt"
     path.write_text("kind = constant\np1 = 0.5\nn = 60\nd = sixty\n")
     with pytest.raises(ValueError, match="line 4: cannot read d = 'sixty'"):
+        read_scenario(path)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_scenario_file_seed_out_of_range_names_line(tmp_path, seed):
+    # A file's seed is checked even where the CLI's --seed replaces it, like
+    # every other key of the file.
+    path = tmp_path / "scenario.txt"
+    path.write_text(f"kind = constant\np1 = 0.5\nseed = {seed}\nn = 60\nd = 6\n")
+    with pytest.raises(ValueError, match=f"line 3: cannot read seed = '{seed}'"):
         read_scenario(path)
 
 

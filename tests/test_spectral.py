@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from binperiod.spectral import (
-    _fisher_g_rows,
     fisher_g,
     fisher_g_batch,
     num_frequencies,
@@ -193,22 +192,22 @@ def ordinate_rows(d):
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 12, 60, 1001, 2520])
-def test_ordinates_and_reused_buffers_are_bit_identical(d):
+def test_ordinates_and_batch_splits_are_bit_identical(d):
     # The sharded engines and their serial references share this arithmetic,
     # so the worker-count tests cannot see a change to it; this pins it.
     x = ordinate_rows(d)
     coef = np.fft.rfft(x, axis=1)[:, 1 : num_frequencies(d) + 1]
     assert np.array_equal(periodogram_batch(x), (coef.real**2 + coef.imag**2) / d)
 
-    # Dirty buffers with more rows than any batch, reused as the engines do:
-    # the whole batch, a shorter last one, and the whole batch again.
-    out = np.full((len(x) + 3, num_frequencies(d)), np.nan)
-    spare = np.full_like(out, -1e300)
-    for rows in (x, x[-4:], x):
-        got = _fisher_g_rows(rows, out[: len(rows)], spare[: len(rows)])
-        for field, a, b in zip(("values", "argmax", "degenerate"), got, fisher_g_batch(rows)):
-            assert np.array_equal(a, b), (d, len(rows), field)
-    _, argmax, degenerate = fisher_g_batch(x)
+    # The shards split a batch into sub-batches whose row count depends on
+    # the worker count: a shorter last batch and single rows give the bits
+    # of the whole batch.
+    whole = fisher_g_batch(x)
+    for lo, hi in [(len(x) - 4, len(x))] + [(i, i + 1) for i in range(len(x))]:
+        got = fisher_g_batch(x[lo:hi])
+        for field, a, b in zip(("values", "argmax", "degenerate"), got, whole):
+            assert np.array_equal(a, b[lo:hi]), (d, lo, hi, field)
+    _, argmax, degenerate = whole
     assert degenerate[2] and degenerate[3] == (d % 2 == 0) and not degenerate[-3:].any()
     assert np.all(argmax[-3:] == 1)
 
