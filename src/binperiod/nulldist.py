@@ -25,7 +25,7 @@ import numpy as np
 
 # Names of this module, so that tests can patch the CPU count and batch size here.
 from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
-from .rng import _check_seed, substream
+from .rng import _UINT64_MAX, _as_int, substream
 from .spectral import GStatistic, fisher_g_batch
 
 __all__ = [
@@ -207,9 +207,8 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
         raise ValueError(f"expected {d} weights, got shape {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("invalid weight")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    seed = _check_seed(seed)
+    count = _as_int("count", count, 1)
+    seed = _as_int("seed", seed, 0, _UINT64_MAX)
     groups = -(-count // _GROUP)
     shards = min(_cpu_count(), groups)
     rows = max(1, min(_GROUP, min(_BATCH_WORDS, _CELL_BATCHES * _BATCH_WORDS // shards) // d))

@@ -19,7 +19,10 @@ Both Monte Carlo engines split their work into T contiguous shards, T at
 most the number of CPUs (:func:`_cpu_count`), and run them with
 :func:`_run_shards`. Each shard draws from its own key or counter block, so
 a result is the same for any T; one batch holds about ``_BATCH_WORDS``
-doubles, and a call holds at most ``_CELL_BATCHES`` batches' worth at once.
+doubles, and a call holds at most ``_CELL_BATCHES`` batches' worth of draws
+at once; a table shard adds a bool batch and fold means of at most a fifth
+of its share. Seeds, indices and widths are Python or numpy integers: a
+bool or a float (even 2.0) raises a ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 __all__ = ["block_words", "replication_stream", "substream"]
 
-_UINT64_MAX = 2**64
+_UINT64_MAX = 2**64 - 1
 
 # Doubles per batch of draws: about 1 MiB (109 rows at n = 1200). Whole
 # 1024-row batches raised the peak RSS of one n = 1200 cell from 37 to 48 MB
@@ -74,31 +77,26 @@ def _run_shards(work, total: int, shards: int) -> list:
         return [first] + [helper.result() for helper in helpers]
 
 
-def _check_seed(seed: int) -> int:
-    """Return ``seed`` as a Python int, or raise ValueError unless it is an
-    integer (not a bool) that fits in an unsigned 64-bit integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = operator.index(seed)
-    if not 0 <= seed < _UINT64_MAX:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return seed
+def _as_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """Return ``value`` as a Python int, or raise a ValueError naming ``name``
+    unless it is an integer (not a bool or a float, even 2.0) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < lo or (hi is not None and value > hi):
+        raise ValueError(f"{name} must be >= {lo}" + ("" if hi is None else f" and <= {hi}"))
+    return value
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Return the independent generator keyed by ``(seed, index)``."""
-    seed = _check_seed(seed)
-    if not 0 <= index < _UINT64_MAX:
-        raise ValueError("index must fit in an unsigned 64-bit integer")
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = [_as_int("seed", seed, 0, _UINT64_MAX), _as_int("index", index, 0, _UINT64_MAX)]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def block_words(width: int) -> int:
     """Doubles in the counter block of a replication of ``width`` uniforms."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    return -(-width // 4) * 4
+    return -(-_as_int("width", width, 1) // 4) * 4
 
 
 def replication_stream(seed: int, index: int, width: int) -> np.random.Generator:
@@ -107,8 +105,7 @@ def replication_stream(seed: int, index: int, width: int) -> np.random.Generator
     Its first ``width`` uniforms are that replication's; further draws
     continue into the blocks of the replications that follow.
     """
-    if not 0 <= index < _UINT64_MAX:
-        raise ValueError("index must fit in an unsigned 64-bit integer")
+    index = _as_int("index", index, 0, _UINT64_MAX)
     gen = substream(seed, 0)
     gen.bit_generator.advance(index * (block_words(width) // 4))
     return gen

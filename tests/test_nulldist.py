@@ -339,6 +339,24 @@ INTEGER_ARGUMENTS = {
     "sample_limit_statistic": ("seed", lambda v: sample_limit_statistic(5, np.ones(5), 3, seed=v)),
     "ScenarioSpec": ("seed", lambda v: ScenarioSpec(kind="SINE", r=6, n=120, d=12, seed=v)),
     "critical_value": ("q", lambda v: critical_value(v, 0.05)),
+    # 1.5 was truncated to index 1; replication_stream raised numpy's TypeError.
+    "substream:index": ("index", lambda v: substream(0, v)),
+    "replication_stream:index": ("index", lambda v: replication_stream(0, v, 4)),
+    "replication_stream:width": ("width", lambda v: replication_stream(0, 0, v)),
+    "sample_limit_statistic:count": ("count", lambda v: sample_limit_statistic(5, np.ones(5), v)),
+    # r = 3.5 ran np.arange(3.5); n = 120.5 and replications = 10.7 failed
+    # inside estimate_power with numpy's TypeError.
+    "ScenarioSpec:n": ("n", lambda v: ScenarioSpec(kind="SINE", r=6, n=v, d=12)),
+    "ScenarioSpec:d": ("d", lambda v: ScenarioSpec(kind="SINE", r=6, n=120, d=v)),
+    "ScenarioSpec:replications": (
+        "replications", lambda v: ScenarioSpec(kind="SINE", r=6, n=120, d=12, replications=v)
+    ),
+    "ScenarioSpec:r": (
+        "r", lambda v: ScenarioSpec(kind="ENDPOINTS", r=v, p_lo=0.4, p_hi=0.6, n=120, d=12)
+    ),
+    "ScenarioSpec:length": (
+        "length", lambda v: ScenarioSpec(kind="PI_DIGITS", length=v, n=120, d=12)
+    ),
 }
 
 
@@ -347,7 +365,7 @@ INTEGER_ARGUMENTS = {
 def test_integer_arguments_refuse_other_values(entry, value):
     # 1.5 and 2.0 were truncated to seed 1 and 2, and True read as 1.
     name, call = INTEGER_ARGUMENTS[entry]
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call(value)
 
 
@@ -363,6 +381,16 @@ def test_numpy_integer_seeds_draw_as_python_ints(seed):
     )
     spec = ScenarioSpec(kind="SINE", r=6, n=120, d=12, replications=200, seed=5)
     assert estimate_power(replace(spec, seed=seed)).rejections == estimate_power(spec).rejections
+
+
+def test_numpy_integer_spec_fields_run_as_python_ints():
+    fields = dict(kind="ARITH_STEP", r=4, step=0.1, n=122, d=12, replications=300, seed=5)
+    spec = ScenarioSpec(**fields)
+    numpy_spec = ScenarioSpec(**{k: np.int64(v) if type(v) is int else v for k, v in fields.items()})
+    assert numpy_spec == spec and numpy_spec.label() == spec.label()
+    for name in ("n", "d", "replications", "seed", "r"):
+        assert type(getattr(numpy_spec, name)) is int, name
+    assert estimate_power(numpy_spec).rejections == estimate_power(spec).rejections
 
 
 def test_single_shard_calls_start_no_thread():

@@ -302,15 +302,18 @@ def test_caller_failure_joins_helpers(monkeypatch):
 def test_working_set_does_not_grow_with_workers(monkeypatch, kind):
     # Two shards hold two batches (about 2.7 MiB at n = 1200); eight shards
     # share the same budget instead of holding eight batches (about 9 MiB).
+    # The blocks of fold means shrink with the shards' share too; a fixed
+    # 1024-row block per shard exceeds the bound.
     monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
-    spec = ScenarioSpec(kind=kind, r=20, step=0.01, n=1200, d=60, replications=2000, seed=3)
-    tracemalloc.start()
-    try:
-        estimate_power(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * 2**20
+    for reps in (2000, 20000):
+        spec = ScenarioSpec(kind=kind, r=20, step=0.01, n=1200, d=60, replications=reps, seed=3)
+        tracemalloc.start()
+        try:
+            estimate_power(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, reps
 
 
 def test_wide_replications_run_serially(monkeypatch):
@@ -324,6 +327,84 @@ def test_wide_replications_run_serially(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def former_rejections(spec: ScenarioSpec) -> int:
+    """Rejections of ``spec`` by the engine's former loop, run serially: a
+    fresh comparison, an int64 fold and one statistic call per batch."""
+    n, d = spec.n, spec.d
+    probs = None if spec.kind == "RANDOM_IID" else np.resize(build_profile(spec).p, n)
+    k_alpha = nulldist._approx_critical_value(num_frequencies(d), spec.alpha)
+    blocks = n // d
+    width = n if probs is not None else 2 * n
+    rows = max(1, 2**17 // block_words(width))
+    rng = replication_stream(spec.seed, 0, width)
+    buf = np.empty((min(rows, spec.replications), block_words(width)))
+    start, stop, rejections = 0, spec.replications, 0
+    while start < stop:
+        m = min(rows, stop - start)
+        u = rng.random(out=buf[:m])
+        bits = u[:, :n] < probs if probs is not None else u[:, n:width] < u[:, :n]
+        counts = bits[:, : blocks * d].reshape(m, blocks, d).sum(axis=1)
+        values, _, _ = fisher_g_batch(counts / blocks)
+        rejections += int(np.count_nonzero(values > k_alpha))
+        start += m
+    return rejections
+
+
+ENGINE_SPECS = [
+    ScenarioSpec(kind="CONSTANT", p1=0.3, n=1200, d=60, replications=2000, seed=8),
+    ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=2000, seed=8),
+    ScenarioSpec(kind="ENDPOINTS", r=4, p_lo=0.4, p_hi=0.6, n=1200, d=60, replications=2000,
+                 seed=8),
+    ScenarioSpec(kind="SINE", r=6, n=1200, d=60, replications=2000, seed=8),
+    ScenarioSpec(kind="PI_DIGITS", length=120, n=120, d=12, replications=5000, seed=8),
+    ScenarioSpec(kind="RANDOM_IID", n=1200, d=60, replications=2000, seed=8),
+    # A discarded tail of ten positions, in the bits and in RANDOM_IID's
+    # probabilities.
+    ScenarioSpec(kind="ARITH_STEP", r=7, step=0.02, n=1210, d=60, replications=2000, seed=8),
+    ScenarioSpec(kind="RANDOM_IID", n=1210, d=60, replications=2000, seed=8),
+    # 2,003 replications leave every shard a short last block.
+    ScenarioSpec(kind="SINE", r=4, n=1200, d=60, replications=2003, seed=8),
+    # 67,000 blocks: a fold count near 65,536 wraps in a 16-bit accumulator
+    # in about half of the positions, which took all 3 rejections to 0.
+    ScenarioSpec(kind="CONSTANT", p1=65536 / 67000, n=7 * 67000, d=7, replications=30, seed=0),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", ENGINE_SPECS, ids=lambda spec: f"{spec.label()}-{spec.n}-{spec.replications}"
+)
+def test_counts_match_former_batch_loop(monkeypatch, spec):
+    counts = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the shards as finely as we can
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            expected = former_rejections(spec)
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+                counts.append(estimate_power(spec).rejections)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [expected] * 4
+
+
+def test_statistic_runs_once_per_block_of_batches(monkeypatch):
+    # One call per 109-row batch made 184 calls on two workers.
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return fisher_g_batch(x)
+
+    monkeypatch.setattr(simulate, "fisher_g_batch", counting)
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    spec = ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=20000)
+    estimate_power(spec)
+    assert sum(calls) == spec.replications
+    assert len(calls) <= 184 // 4
 
 
 def test_null_level_is_close_to_alpha():
