@@ -16,15 +16,15 @@ from .nulldist import (
     tail_approx,
 )
 from .rng import replication_stream, substream
-from .series import BinarySeries, FoldedSeries, fold, read_series, validate, write_series
+from .series import BinarySeries, FoldedSeries, fold, read_series, write_series
 from .simulate import (
     PI_DIGITS,
     PowerEstimate,
     ScenarioSpec,
     build_profile,
     estimate_power,
+    iter_table,
     read_scenario,
-    run_table,
     simulate_series,
     table_specs,
 )
@@ -41,9 +41,6 @@ from .theory import (
     PowerRegime,
     detectability,
     effective_period,
-    limits_e,
-    limits_v,
-    predict_power_regime,
 )
 
 __version__ = "0.1.0"
@@ -68,16 +65,13 @@ __all__ = [
     "fisher_g",
     "fisher_g_batch",
     "fold",
-    "limits_e",
-    "limits_v",
+    "iter_table",
     "num_frequencies",
     "p_value",
     "periodogram_batch",
-    "predict_power_regime",
     "read_scenario",
     "read_series",
     "replication_stream",
-    "run_table",
     "run_test",
     "sample_limit_statistic",
     "simulate_series",
@@ -85,6 +79,5 @@ __all__ = [
     "table_specs",
     "tail",
     "tail_approx",
-    "validate",
     "write_series",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .simulate import (
     PowerEstimate,
     estimate_power,
     iter_table,
-    override_scenario,
     read_scenario,
 )
 from .spectral import fisher_g, num_frequencies
@@ -54,11 +53,11 @@ def run_test(series: BinarySeries, d: int, alpha: float = 0.05) -> TestReport:
     """
     folded = fold(series, d)
     stat = fisher_g(folded.z)
-    q = num_frequencies(d)
+    q = num_frequencies(folded.d)
     crit = critical_value(q, alpha)
     return TestReport(
         n=folded.n,
-        d=d,
+        d=folded.d,
         q=q,
         blocks=folded.blocks,
         discarded=folded.discarded,
@@ -201,9 +200,8 @@ _ESTIMATE_TEXT = "{scenario}  rate={rate}  se={std_error}  rejections={rejection
 
 
 def _cmd_simulate(args) -> int:
-    spec = override_scenario(
-        read_scenario(args.file), replications=args.reps, seed=args.seed
-    )
+    changes = {"replications": args.reps, "seed": args.seed}
+    spec = replace(read_scenario(args.file), **{k: v for k, v in changes.items() if v is not None})
     est = estimate_power(spec)
     _print_records([_estimate_record(est)], _ESTIMATE_TEXT, args)
     if not args.csv:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 # Names of this module, so that tests can patch the CPU count and batch size here.
 from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
 from .rng import _UINT64_MAX, _as_int, substream
-from .spectral import GStatistic, fisher_g_batch
+from .spectral import GStatistic, fisher_g_batch, num_frequencies
 
 __all__ = [
     "BISECTION_TOL",
@@ -44,13 +43,6 @@ BISECTION_TOL = 1e-10
 _GROUP = 256
 
 
-def _check_q(q: int) -> int:
-    """Validate q and return it as a Python int (numpy integers would wrap)."""
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError("invalid q")
-    return operator.index(q)
-
-
 def tail(q: int, x: float) -> float:
     """Exact survival probability P(g >= x) under the null, clamped to [0, 1].
 
@@ -59,7 +51,7 @@ def tail(q: int, x: float) -> float:
     the sum is taken in ``decimal`` with 30 digits beyond the size of its terms.
     Both tails reject a NaN ``x`` with ValueError; x = +-inf give 0 and 1.
     """
-    q = _check_q(q)
+    q = _as_int("q", q, 1)
     x = float(x)
     if math.isnan(x):  # fails every comparison; the clamps would give 0 or 1
         raise ValueError("statistic is NaN")
@@ -106,7 +98,7 @@ def tail(q: int, x: float) -> float:
 
 def tail_approx(q: int, x: float) -> float:
     """One-term (j = 1) approximation q (1 - x)^{q-1}, clamped to [0, 1]."""
-    q = _check_q(q)
+    q = _as_int("q", q, 1)
     x = float(x)
     if math.isnan(x):
         raise ValueError("statistic is NaN")
@@ -127,9 +119,8 @@ def p_value(q: int, g, convention: str = "exact") -> float:
     the convention used for every simulated table in this package.
     """
     if isinstance(g, GStatistic):
-        if g.degenerate:
-            return 1.0
-        x = g.value
+        # Both tails are 1 at 0, and still check q and the convention.
+        x = 0.0 if g.degenerate else g.value
     else:
         x = float(g)
     if convention == "exact":
@@ -150,8 +141,8 @@ class CriticalValue:
 
 
 def _approx_critical_value(q: int, alpha: float) -> float:
-    """The one-term critical value 1 - (alpha/q)^{1/(q-1)}, or 1 for q = 1."""
-    q = _check_q(q)
+    """The one-term critical value 1 - (alpha/q)^{1/(q-1)}, or 1 for q = 1,
+    for a q already read as a Python int."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("invalid level")
     return 1.0 if q == 1 else 1.0 - (alpha / q) ** (1.0 / (q - 1))
@@ -166,7 +157,7 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     ``approx`` is the closed form 1 - (alpha/q)^{1/(q-1)} for q >= 2. For
     q = 1 the statistic is identically 1, so both values are 1.
     """
-    q = _check_q(q)
+    q = _as_int("q", q, 1)
     approx = _approx_critical_value(q, alpha)
     if q == 1:
         return CriticalValue(q=1, alpha=alpha, exact=1.0, approx=approx)
@@ -200,8 +191,8 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
     d = 2520 for T <= 2). numpy fills rows in order, so every draw is the
     same for any T.
     """
-    if d < 3:
-        raise ValueError("q would be 0")
+    num_frequencies(d)
+    d = int(d)
     w = np.asarray(weights, dtype=float)
     if w.shape != (d,):
         raise ValueError(f"expected {d} weights, got shape {w.shape}")

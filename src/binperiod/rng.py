@@ -21,8 +21,10 @@ most the number of CPUs (:func:`_cpu_count`), and run them with
 a result is the same for any T; one batch holds about ``_BATCH_WORDS``
 doubles, and a call holds at most ``_CELL_BATCHES`` batches' worth of draws
 at once; a table shard adds a bool batch and fold means of at most a fifth
-of its share. Seeds, indices and widths are Python or numpy integers: a
-bool or a float (even 2.0) raises a ValueError naming the argument.
+of its share. Every integer argument of the package (seeds, indices and
+widths here; the fold length d, the frequency count q and ``per_line``
+elsewhere) is a Python or numpy integer, read by :func:`_as_int`: a bool or
+a float (even 2.0) raises a ValueError naming the argument.
 """
 
 from __future__ import annotations

@@ -7,44 +7,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _as_int
+from .spectral import num_frequencies
+
 __all__ = [
     "BinarySeries",
     "FoldedSeries",
     "fold",
-    "validate",
     "read_series",
     "write_series",
 ]
 
 
-def validate(values) -> None:
-    """Check that ``values`` is a non-empty sequence over the alphabet {0, 1}.
-
-    Raises
-    ------
-    ValueError
-        ``"empty series"`` for a zero-length input, otherwise
-        ``"value out of alphabet at position i"`` with 1-based ``i`` pointing
-        at the first offending entry.
-    """
-    arr = np.asarray(values)
-    if arr.size == 0:
-        raise ValueError("empty series")
-    bad = ~((arr == 0) | (arr == 1))
-    if bad.any():
-        pos = int(np.argmax(bad)) + 1
-        raise ValueError(f"value out of alphabet at position {pos}")
-
-
 @dataclass(frozen=True, eq=False)
 class BinarySeries:
-    """Ordered 0/1 observations Y_1..Y_n; 1-based indices in all formulas."""
+    """Ordered 0/1 observations Y_1..Y_n; 1-based indices in all formulas.
+
+    Construction raises ValueError ``"empty series"`` for a zero-length input,
+    otherwise ``"value out of alphabet at position i"`` with 1-based ``i``
+    pointing at the first entry that is not 0 or 1.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        validate(self.values)
-        arr = np.array(self.values, dtype=np.int8, copy=True)
+        arr = np.asarray(self.values)
+        if arr.size == 0:
+            raise ValueError("empty series")
+        bad = ~((arr == 0) | (arr == 1))
+        if bad.any():
+            raise ValueError(f"value out of alphabet at position {int(np.argmax(bad)) + 1}")
+        arr = np.array(arr, dtype=np.int8, copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -94,8 +87,8 @@ def fold(series: BinarySeries, d: int) -> FoldedSeries:
         Target length of the folded series; must be >= 3 so at least one
         Fourier frequency survives, and must not exceed n.
     """
-    if d < 3:
-        raise ValueError("d too small (q would be 0)")
+    num_frequencies(d)
+    d = int(d)
     n = series.n
     if n < d:
         raise ValueError("series shorter than d")
@@ -195,8 +188,7 @@ def write_series(path, series: BinarySeries, per_line: int = 60) -> None:
     """Write a series in the plain-text token format accepted by read_series:
     tokens separated by spaces, ``per_line`` to a line, each line ended by a
     newline."""
-    if per_line < 1:
-        raise ValueError("per_line must be >= 1")
+    per_line = _as_int("per_line", per_line, 1)
     vals = series.values
     text = np.full(2 * vals.size, ord(" "), dtype=np.uint8)
     text[0::2] = vals + ord("0")

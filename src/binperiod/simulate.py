@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "estimate_power",
     "iter_table",
     "read_scenario",
-    "run_table",
     "simulate_series",
     "table_specs",
 ]
@@ -100,8 +99,7 @@ class ScenarioSpec:
                 object.__setattr__(self, name, _as_int(name, value, *_INT_RANGES[name]))
             elif name != "step" and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{self.kind} needs {name} in [0,1]")
-        if self.d < 3:
-            raise ValueError("d too small (q would be 0)")
+        num_frequencies(self.d)
         if self.n < self.d:
             raise ValueError("series shorter than d")
         if not 0.0 < self.alpha < 1.0:
@@ -151,8 +149,7 @@ def build_profile(spec: ScenarioSpec) -> PeriodicProfile:
 
 def simulate_series(profile: PeriodicProfile, n: int, rng: np.random.Generator) -> BinarySeries:
     """Draw Y_1..Y_n with Y_l ~ Bernoulli(p_{((l-1) mod r) + 1})."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _as_int("n", n, 1)
     probs = np.resize(profile.p, n)
     return BinarySeries((rng.random(n) < probs).astype(np.int8))
 
@@ -308,11 +305,6 @@ def iter_table(table_id: str, replications: int = 20000, seed: int = 0):
         yield estimate_power(spec)
 
 
-def run_table(table_id: str, replications: int = 20000, seed: int = 0) -> list[PowerEstimate]:
-    """Run every cell of a table; see :func:`table_specs`."""
-    return list(iter_table(table_id, replications, seed))
-
-
 def read_scenario(path) -> ScenarioSpec:
     """Parse a flat key-value scenario file.
 
@@ -351,9 +343,3 @@ def read_scenario(path) -> ScenarioSpec:
         if key not in _PARAMS[spec.kind] and any(key in params for params in _PARAMS.values()):
             raise ValueError(f"line {lineno}: {spec.kind} has no parameter {key!r}")
     return spec
-
-
-def override_scenario(spec: ScenarioSpec, **changes) -> ScenarioSpec:
-    """Replace run parameters (replications, seed, alpha, ...) on a spec."""
-    changes = {k: v for k, v in changes.items() if v is not None}
-    return replace(spec, **changes) if changes else spec

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _as_int
+
 __all__ = [
     "A_REL_TOL",
     "GStatistic",
@@ -38,7 +40,11 @@ A_REL_TOL = 1e-12
 
 
 def num_frequencies(d: int) -> int:
-    """Number q = floor((d-1)/2) of usable Fourier frequencies."""
+    """Number q = floor((d-1)/2) of usable Fourier frequencies, as a Python
+    int: the one check of a fold length d, an integer >= 3 so that q >= 1."""
+    d = _as_int("d", d, 1)
+    if d < 3:
+        raise ValueError("d too small (q would be 0)")
     return (d - 1) // 2
 
 
@@ -48,8 +54,7 @@ def _as_matrix(x) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError("expected a vector or a matrix of row vectors")
-    if arr.shape[1] < 3:
-        raise ValueError("q would be 0")
+    num_frequencies(arr.shape[1])
     return arr
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import fisher_g
+from .spectral import fisher_g, num_frequencies
 
 __all__ = [
     "AsymptoticSummary",
@@ -32,9 +32,6 @@ __all__ = [
     "PowerRegime",
     "detectability",
     "effective_period",
-    "limits_e",
-    "limits_v",
-    "predict_power_regime",
 ]
 
 
@@ -85,11 +82,6 @@ class PeriodicProfile:
         return int(self.p.size)
 
 
-def _check_d(d: int) -> None:
-    if d < 3:
-        raise ValueError("d too small (q would be 0)")
-
-
 def _coset_means(values: np.ndarray, d: int, length: int) -> np.ndarray:
     """The defining sums (1/r) sum_k values_{i+kd} for i = 1..length.
 
@@ -104,18 +96,6 @@ def _coset_means(values: np.ndarray, d: int, length: int) -> np.ndarray:
     return sums[np.arange(length) % b]
 
 
-def limits_e(profile: PeriodicProfile, d: int) -> np.ndarray:
-    """In-probability limits e_1..e_d of the folded block means."""
-    _check_d(d)
-    return _coset_means(profile.p, d, d)
-
-
-def limits_v(profile: PeriodicProfile, d: int) -> np.ndarray:
-    """Variance limits v_1..v_d of the rescaled block means."""
-    _check_d(d)
-    return _coset_means(profile.p * (1.0 - profile.p), d, d)
-
-
 class PowerRegime(Enum):
     """Large-sample behaviour of the test under a given profile and d."""
 
@@ -128,6 +108,8 @@ class PowerRegime(Enum):
 class AsymptoticSummary:
     """Limits and detectability diagnostics for one (profile, d) pair.
 
+    ``e`` holds the in-probability limits e_1..e_d of the folded block means
+    and ``v`` the variance limits v_1..v_d of the rescaled block means.
     ``detect_sum`` is the complex sufficiency certificate
     sum_{k=1..r} e_k exp(-2 pi i k / b) (floor((d-k)/r) + 1), the DFT of e at
     frequency d/b. For b >= 3 a modulus above ``detect_tol``
@@ -170,17 +152,18 @@ class AsymptoticSummary:
 
 def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     """Compute e, v, gcd structure, A-membership, and the limit statistic."""
-    _check_d(d)
+    num_frequencies(d)
+    d = int(d)
     p = profile.p
     r = profile.r
     b = math.gcd(r, d)
-    e = limits_e(profile, d)
-    v = limits_v(profile, d)
+    # e at positions 1..max(r, d): the defining sum is well defined past d,
+    # and the detection sum reads positions 1..r.
+    coset = _coset_means(p, d, max(r, d))
+    e = coset[:d]
+    v = _coset_means(p * (1.0 - p), d, d)
     g = fisher_g(e)
-
-    # e at positions 1..r straight from the defining sum (equal to e[:r]
-    # whenever r <= d, but also well defined for r > d).
-    e_head = _coset_means(p, d, r).tolist()
+    e_head = coset[:r].tolist()
     terms = [
         e_head[k - 1] * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
         for k in range(1, r + 1)
@@ -207,9 +190,3 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
         detect_nonzero=detect_nonzero,
         limit_g=None if g.degenerate else g.value,
     )
-
-
-def predict_power_regime(profile: PeriodicProfile, d: int) -> PowerRegime:
-    """The regime of ``detectability(profile, d)``; see
-    :attr:`AsymptoticSummary.regime`."""
-    return detectability(profile, d).regime

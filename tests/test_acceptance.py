@@ -14,9 +14,9 @@ from binperiod.cli import main
 from binperiod.nulldist import sample_limit_statistic, tail
 from binperiod.rng import substream
 from binperiod.series import fold
-from binperiod.simulate import ScenarioSpec, estimate_power, run_table, simulate_series
+from binperiod.simulate import ScenarioSpec, estimate_power, iter_table, simulate_series
 from binperiod.spectral import fisher_g, fisher_g_batch, periodogram_batch
-from binperiod.theory import PeriodicProfile, detectability, limits_e
+from binperiod.theory import PeriodicProfile, detectability
 
 REPS = 20000
 SEED = 12345
@@ -43,7 +43,7 @@ def test_criterion_01_critical_value(capsys):
 
 
 def test_criterion_02_null_level_sweep():
-    estimates = run_table("T1", replications=REPS, seed=SEED)
+    estimates = list(iter_table("T1", replications=REPS, seed=SEED))
     elapsed = sum(est.elapsed for est in estimates)
     rates = {est.scenario.p1: est.rate for est in estimates}
     ok_rates = all(abs(rate - 0.05) <= 0.01 for rate in rates.values())
@@ -93,7 +93,7 @@ def test_criterion_05_table4_spot_checks():
 
 
 def test_criterion_06_table5_sine_sweep():
-    estimates = run_table("T5", replications=REPS, seed=SEED)
+    estimates = list(iter_table("T5", replications=REPS, seed=SEED))
     rates = {est.scenario.r: est.rate for est in estimates}
     detected = {4, 6, 8, 9, 10}
     ok = all(rates[r] >= 0.999 for r in detected)
@@ -143,7 +143,7 @@ def test_criterion_09_limit_structure_brute_force():
             for d in range(3, 25):
                 p = rng.integers(1, 64, size=r) / 64.0
                 profile = PeriodicProfile(p)
-                e = limits_e(profile, d)
+                e = detectability(profile, d).e
                 extended = np.array([p[(ell - 1) % r] for ell in range(1, r * d + 1)])
                 oracle = np.array(
                     [

@@ -1,5 +1,6 @@
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,10 @@ from binperiod.simulate import (
     build_profile,
     estimate_power,
     iter_table,
-    override_scenario,
     read_scenario,
     simulate_series,
 )
-from binperiod.theory import PeriodicProfile, detectability, predict_power_regime
+from binperiod.theory import PeriodicProfile, detectability
 
 
 def run_cli(capsys, *argv):
@@ -337,7 +337,7 @@ def ref_read_profile(path):
 def ref_theory(args):
     profile = ref_read_profile(args.file)
     summary = detectability(profile, args.d)
-    regime = predict_power_regime(profile, args.d)
+    regime = summary.regime
     full = args.full_precision
     ds = summary.detect_sum
     ds_text = (
@@ -374,7 +374,9 @@ def ref_theory(args):
 
 
 def ref_simulate(args):
-    spec = override_scenario(read_scenario(args.file), replications=args.reps, seed=args.seed)
+    changes = dict(replications=args.reps, seed=args.seed)
+    changes = {k: v for k, v in changes.items() if v is not None}
+    spec = replace(read_scenario(args.file), **changes)
     est = estimate_power(spec)
     if args.csv:
         print(REF_CSV_HEADER)

@@ -1,12 +1,13 @@
 import math
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 import binperiod
 from binperiod import nulldist
+from binperiod.cli import run_test
 from binperiod.nulldist import (
     critical_value,
     p_value,
@@ -23,8 +25,10 @@ from binperiod.nulldist import (
     tail_approx,
 )
 from binperiod.rng import replication_stream, substream
-from binperiod.simulate import ScenarioSpec, estimate_power
-from binperiod.spectral import GStatistic, fisher_g_batch
+from binperiod.series import BinarySeries, fold, write_series
+from binperiod.simulate import ScenarioSpec, estimate_power, simulate_series
+from binperiod.spectral import GStatistic, fisher_g_batch, num_frequencies
+from binperiod.theory import PeriodicProfile, detectability
 
 
 def tail_fraction(q: int, x: Fraction) -> Fraction:
@@ -118,9 +122,9 @@ def test_nan_statistic_is_rejected():
 
 
 def test_invalid_q():
-    with pytest.raises(ValueError, match="invalid q"):
+    with pytest.raises(ValueError, match="q must be >= 1"):
         tail(0, 0.5)
-    with pytest.raises(ValueError, match="invalid q"):
+    with pytest.raises(ValueError, match="q must be >= 1"):
         critical_value(0, 0.05)
 
 
@@ -332,7 +336,19 @@ def test_sampler_checks_seed_before_sharding(monkeypatch, seed):
         sample_limit_statistic(60, np.ones(60), 1000, seed=seed)
 
 
-NOT_INTEGERS = [1.5, 2.0, True, math.nan]
+NOT_INTEGERS = [1.5, 2.0, 12.0, True, math.nan]
+SERIES = BinarySeries(np.resize([0, 1, 1, 0, 1], 60))
+PROFILE = PeriodicProfile([0.2, 0.5, 0.8])
+
+
+def written(per_line) -> bytes:
+    """The bytes ``write_series`` writes for SERIES with ``per_line``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.txt"
+        write_series(path, SERIES, per_line=per_line)
+        return path.read_bytes()
+
+
 INTEGER_ARGUMENTS = {
     "substream": ("seed", lambda v: substream(v, 0)),
     "replication_stream": ("seed", lambda v: replication_stream(v, 0, 4)),
@@ -357,6 +373,18 @@ INTEGER_ARGUMENTS = {
     "ScenarioSpec:length": (
         "length", lambda v: ScenarioSpec(kind="PI_DIGITS", length=v, n=120, d=12)
     ),
+    # d = 12.0 raised numpy's TypeError, and num_frequencies(2.5) returned 0.0.
+    "fold": ("d", lambda v: fold(SERIES, v)),
+    "run_test": ("d", lambda v: run_test(SERIES, v)),
+    "detectability": ("d", lambda v: detectability(PROFILE, v)),
+    "num_frequencies": ("d", num_frequencies),
+    "sample_limit_statistic:d": ("d", lambda v: sample_limit_statistic(v, np.ones(12), 3)),
+    "tail": ("q", lambda v: tail(v, 0.2)),
+    "tail_approx": ("q", lambda v: tail_approx(v, 0.2)),
+    "p_value": ("q", lambda v: p_value(v, 0.2)),
+    "p_value:degenerate": ("q", lambda v: p_value(v, GStatistic(0.0, 1, True))),
+    "write_series": ("per_line", written),
+    "simulate_series": ("n", lambda v: simulate_series(PROFILE, v, substream(1, 0))),
 }
 
 
@@ -367,6 +395,39 @@ def test_integer_arguments_refuse_other_values(entry, value):
     name, call = INTEGER_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call(value)
+
+
+def comparable(result):
+    """A comparable form of a result: each value with its type, arrays by
+    dtype and bytes, dataclasses field by field."""
+    if is_dataclass(result):
+        return [(f.name, comparable(getattr(result, f.name))) for f in fields(result)]
+    if isinstance(result, np.ndarray):
+        return (result.dtype.str, result.shape, result.tobytes())
+    return (type(result), result)
+
+
+# Each entry point with a valid value of its integer argument.
+NUMPY_INTEGER_CALLS = {
+    "fold": (12, lambda v: fold(SERIES, v)),
+    "run_test": (12, lambda v: run_test(SERIES, v)),
+    "detectability": (12, lambda v: detectability(PROFILE, v)),
+    "detectability:r>d": (3, lambda v: detectability(PeriodicProfile(np.arange(1, 10) / 10), v)),
+    "num_frequencies": (12, num_frequencies),
+    "sample_limit_statistic": (11, lambda v: sample_limit_statistic(v, np.arange(1, 12), 300)),
+    "tail": (29, lambda v: tail(v, 0.2)),
+    "tail_approx": (29, lambda v: tail_approx(v, 0.2)),
+    "p_value": (29, lambda v: p_value(v, 0.2)),
+    "critical_value": (29, lambda v: critical_value(v, 0.05)),
+    "write_series": (7, written),
+    "simulate_series": (120, lambda v: simulate_series(PROFILE, v, substream(1, 0))),
+}
+
+
+@pytest.mark.parametrize("entry", NUMPY_INTEGER_CALLS)
+def test_numpy_integer_arguments_give_identical_results(entry):
+    value, call = NUMPY_INTEGER_CALLS[entry]
+    assert comparable(call(np.int64(value))) == comparable(call(value))
 
 
 @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=lambda s: type(s).__name__)

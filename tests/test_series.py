@@ -7,7 +7,6 @@ from binperiod.series import (
     BinarySeries,
     fold,
     read_series,
-    validate,
     write_series,
 )
 
@@ -80,17 +79,17 @@ def test_fold_series_shorter_than_d():
 
 
 def test_validate_ok():
-    validate([0, 1, 1, 0])
+    assert BinarySeries([0, 1, 1, 0]).values.tolist() == [0, 1, 1, 0]
 
 
 def test_validate_position_is_one_based():
     with pytest.raises(ValueError, match="position 2"):
-        validate([0, 2, 1])
+        BinarySeries([0, 2, 1])
 
 
 def test_validate_empty():
     with pytest.raises(ValueError, match="empty series"):
-        validate([])
+        BinarySeries([])
 
 
 def test_binary_series_rejects_fractions():

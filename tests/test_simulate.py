@@ -19,8 +19,8 @@ from binperiod.simulate import (
     ScenarioSpec,
     build_profile,
     estimate_power,
+    iter_table,
     read_scenario,
-    run_table,
     simulate_series,
     table_specs,
 )
@@ -460,7 +460,7 @@ def test_table_specs_layout():
 def test_run_table_smoke():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        estimates = run_table("PI", replications=200, seed=1)
+        estimates = list(iter_table("PI", replications=200, seed=1))
     assert len(estimates) == 1
     assert estimates[0].scenario.label() == "PI_DIGITS[length=120]"
 

@@ -14,9 +14,6 @@ from binperiod.theory import (
     PowerRegime,
     detectability,
     effective_period,
-    limits_e,
-    limits_v,
-    predict_power_regime,
 )
 
 
@@ -33,39 +30,39 @@ def coset_limits_oracle(p, d):
 
 def test_limits_e_period_divides_d():
     profile = PeriodicProfile([0.2, 0.5, 0.8])
-    e = limits_e(profile, 6)
+    e = detectability(profile, 6).e
     assert np.allclose(e, [0.2, 0.5, 0.8, 0.2, 0.5, 0.8], atol=1e-15)
     assert np.array_equal(e[:3], e[3:])  # 3-periodic to the last bit
 
 
 def test_limits_e_shared_divisor():
     profile = PeriodicProfile([0.1, 0.2, 0.3, 0.4])
-    e = limits_e(profile, 6)
+    e = detectability(profile, 6).e
     assert np.allclose(e, [0.2, 0.3, 0.2, 0.3, 0.2, 0.3], atol=1e-15)
 
 
 def test_limits_e_coprime_is_constant():
     profile = PeriodicProfile(np.linspace(0.05, 0.95, 7))
-    e = limits_e(profile, 60)
+    e = detectability(profile, 60).e
     assert np.all(e == e[0])
     assert e[0] == pytest.approx(float(np.mean(profile.p)), abs=1e-15)
 
 
 def test_limits_v_constant_profile():
     profile = PeriodicProfile([0.3])
-    assert np.allclose(limits_v(profile, 8), 0.21, atol=1e-15)
+    assert np.allclose(detectability(profile, 8).v, 0.21, atol=1e-15)
 
 
 def test_limits_v_alternating():
-    sym = limits_v(PeriodicProfile([0.3, 0.7]), 6)
+    sym = detectability(PeriodicProfile([0.3, 0.7]), 6).v
     assert np.allclose(sym, 0.21, atol=1e-15)
-    asym = limits_v(PeriodicProfile([0.2, 0.6]), 6)
+    asym = detectability(PeriodicProfile([0.2, 0.6]), 6).v
     assert np.allclose(asym, [0.16, 0.24, 0.16, 0.24, 0.16, 0.24], atol=1e-15)
 
 
 def test_limits_v_coprime_is_constant():
     profile = PeriodicProfile([0.1, 0.5, 0.9, 0.4, 0.25])
-    v = limits_v(profile, 12)
+    v = detectability(profile, 12).v
     assert np.all(v == v[0])
     expected = math.fsum(p * (1 - p) for p in profile.p) / profile.r
     assert v[0] == pytest.approx(expected, abs=1e-15)
@@ -81,7 +78,8 @@ def test_structure_against_oracle_small_grid():
                 # random profiles may be accidentally non-minimal
                 warnings.simplefilter("ignore", UserWarning)
                 profile = PeriodicProfile(p)
-            e, v = limits_e(profile, d), limits_v(profile, d)
+            summary = detectability(profile, d)
+            e, v = summary.e, summary.v
             e_ref, v_ref = coset_limits_oracle(p, d)
             assert np.array_equal(e, e_ref)
             assert np.array_equal(v, v_ref)
@@ -118,8 +116,6 @@ def test_coset_sums_match_per_position_definition():
             ]
             summary = detectability(profile, d)
             g_ref = fisher_g(e_ref)
-            assert np.array_equal(limits_e(profile, d), e_ref), (r, d)
-            assert np.array_equal(limits_v(profile, d), v_ref), (r, d)
             assert np.array_equal(summary.e, e_ref), (r, d)
             assert np.array_equal(summary.v, v_ref), (r, d)
             assert summary.detect_sum == complex(
@@ -172,14 +168,14 @@ def test_detectability_never_raises_on_small_grid():
 
 
 def test_regimes():
-    assert predict_power_regime(PeriodicProfile([0.4]), 12) is PowerRegime.NULL_LIKE
-    assert predict_power_regime(PeriodicProfile([0.2, 0.6]), 60) is PowerRegime.R2_LIMIT
+    assert detectability(PeriodicProfile([0.4]), 12).regime is PowerRegime.NULL_LIKE
+    assert detectability(PeriodicProfile([0.2, 0.6]), 60).regime is PowerRegime.R2_LIMIT
     assert (
-        predict_power_regime(PeriodicProfile([0.2, 0.5, 0.8]), 6)
+        detectability(PeriodicProfile([0.2, 0.5, 0.8]), 6).regime
         is PowerRegime.CONSISTENT
     )
     # symmetric period-2 profile: variance limits coincide, so null-like
-    assert predict_power_regime(PeriodicProfile([0.3, 0.7]), 60) is PowerRegime.NULL_LIKE
+    assert detectability(PeriodicProfile([0.3, 0.7]), 60).regime is PowerRegime.NULL_LIKE
 
 
 def test_profile_validation():
@@ -235,8 +231,8 @@ def test_fold_means_converge_to_e():
     # mean of Z_i over replications approaches e_i within 3 standard errors
     profile = PeriodicProfile([0.2, 0.5, 0.8])
     d, n, reps = 6, 600, 400
-    e = limits_e(profile, d)
-    v = limits_v(profile, d)
+    summary = detectability(profile, d)
+    e, v = summary.e, summary.v
     blocks = n // d
     acc = np.zeros(d)
     for k in range(reps):
