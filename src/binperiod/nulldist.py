@@ -25,7 +25,7 @@ import numpy as np
 # Names of this module, so that tests can patch the CPU count and batch size here.
 from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
 from .rng import _UINT64_MAX, _as_int, substream
-from .spectral import GStatistic, fisher_g_batch, num_frequencies
+from .spectral import GStatistic, _fold_length, fisher_g_batch
 
 __all__ = [
     "BISECTION_TOL",
@@ -191,8 +191,7 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
     d = 2520 for T <= 2). numpy fills rows in order, so every draw is the
     same for any T.
     """
-    num_frequencies(d)
-    d = int(d)
+    d = _fold_length(d)
     w = np.asarray(weights, dtype=float)
     if w.shape != (d,):
         raise ValueError(f"expected {d} weights, got shape {w.shape}")

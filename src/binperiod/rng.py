@@ -79,13 +79,13 @@ def _run_shards(work, total: int, shards: int) -> list:
         return [first] + [helper.result() for helper in helpers]
 
 
-def _as_int(name: str, value, lo: int, hi: int | None = None) -> int:
+def _as_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
     """Return ``value`` as a Python int, or raise a ValueError naming ``name``
     unless it is an integer (not a bool or a float, even 2.0) in [lo, hi]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)
-    if value < lo or (hi is not None and value > hi):
+    if lo is not None and (value < lo or (hi is not None and value > hi)):
         raise ValueError(f"{name} must be >= {lo}" + ("" if hi is None else f" and <= {hi}"))
     return value
 

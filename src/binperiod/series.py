@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import _as_int
-from .spectral import num_frequencies
+from .spectral import _fold_length
 
 __all__ = [
     "BinarySeries",
@@ -87,8 +87,7 @@ def fold(series: BinarySeries, d: int) -> FoldedSeries:
         Target length of the folded series; must be >= 3 so at least one
         Fourier frequency survives, and must not exceed n.
     """
-    num_frequencies(d)
-    d = int(d)
+    d = _fold_length(d)
     n = series.n
     if n < d:
         raise ValueError("series shorter than d")

@@ -13,7 +13,7 @@ from .nulldist import _approx_critical_value
 from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
 from .rng import _UINT64_MAX, _as_int, block_words, replication_stream
 from .series import BinarySeries
-from .spectral import fisher_g_batch, num_frequencies
+from .spectral import _fold_length, fisher_g_batch, num_frequencies
 from .theory import PeriodicProfile
 
 __all__ = [
@@ -49,7 +49,7 @@ _PARAMS = {
 KINDS = tuple(_PARAMS)
 
 # Ranges of the integer fields, which ScenarioSpec stores as Python ints.
-_INT_RANGES = {"n": (1,), "d": (1,), "replications": (1,), "seed": (0, _UINT64_MAX),
+_INT_RANGES = {"n": (1,), "replications": (1,), "seed": (0, _UINT64_MAX),
                "r": (2,), "length": (1, len(PI_DIGITS))}
 
 # Type of each scenario-file key; label() prints the float ones with :g. A
@@ -95,11 +95,12 @@ class ScenarioSpec:
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"{self.kind} needs {name}")
-            if name in _INT_RANGES:
+            if name == "d":
+                object.__setattr__(self, name, _fold_length(value))
+            elif name in _INT_RANGES:
                 object.__setattr__(self, name, _as_int(name, value, *_INT_RANGES[name]))
             elif name != "step" and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{self.kind} needs {name} in [0,1]")
-        num_frequencies(self.d)
         if self.n < self.d:
             raise ValueError("series shorter than d")
         if not 0.0 < self.alpha < 1.0:

@@ -39,13 +39,18 @@ __all__ = [
 A_REL_TOL = 1e-12
 
 
-def num_frequencies(d: int) -> int:
-    """Number q = floor((d-1)/2) of usable Fourier frequencies, as a Python
-    int: the one check of a fold length d, an integer >= 3 so that q >= 1."""
-    d = _as_int("d", d, 1)
+def _fold_length(d) -> int:
+    """Return the fold length ``d`` as a Python int: the one check of d, an
+    integer (read by ``_as_int``) of at least 3, so that q >= 1."""
+    d = _as_int("d", d)
     if d < 3:
         raise ValueError("d too small (q would be 0)")
-    return (d - 1) // 2
+    return d
+
+
+def num_frequencies(d: int) -> int:
+    """Number q = floor((d-1)/2) of usable Fourier frequencies, as a Python int."""
+    return (_fold_length(d) - 1) // 2
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -54,7 +59,8 @@ def _as_matrix(x) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ValueError("expected a vector or a matrix of row vectors")
-    num_frequencies(arr.shape[1])
+    if arr.shape[1] < 3:  # a shape is a Python int: only a short row needs _as_int
+        _fold_length(arr.shape[1])
     return arr
 
 
@@ -62,7 +68,7 @@ def periodogram_batch(x) -> np.ndarray:
     """Periodogram ordinates I(omega_1..omega_q) for each row of ``x``."""
     arr = _as_matrix(x)
     d = arr.shape[1]
-    coef = np.fft.rfft(arr, axis=1)[:, 1 : num_frequencies(d) + 1]
+    coef = np.fft.rfft(arr, axis=1)[:, 1 : (d - 1) // 2 + 1]
     # (coef.real**2 + coef.imag**2) / d bit for bit, but with one fresh array
     # instead of three: at the sampler's 52 x 1259 ordinates each is 0.5 MB,
     # and fresh temporaries of that size cost more than the arithmetic.

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import fisher_g, num_frequencies
+from .spectral import _fold_length, fisher_g
 
 __all__ = [
     "AsymptoticSummary",
@@ -72,8 +72,7 @@ class PeriodicProfile:
         s = effective_period(arr)
         if s < arr.size:
             warnings.warn(
-                f"declared period {arr.size} is not minimal"
-                f" (effective period {s})",
+                f"declared period {arr.size} is not minimal (effective period {s})",
                 stacklevel=3,
             )
 
@@ -152,8 +151,7 @@ class AsymptoticSummary:
 
 def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     """Compute e, v, gcd structure, A-membership, and the limit statistic."""
-    num_frequencies(d)
-    d = int(d)
+    d = _fold_length(d)
     p = profile.p
     r = profile.r
     b = math.gcd(r, d)
@@ -168,9 +166,7 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
         e_head[k - 1] * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
         for k in range(1, r + 1)
     ]
-    detect_sum = complex(
-        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
-    )
+    detect_sum = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     detect_tol = 1e-10 * math.fsum(abs(x) for x in e_head) * (d // r + 1)
     detect_nonzero = abs(detect_sum) > detect_tol
 

@@ -215,6 +215,16 @@ def test_missing_file_is_a_clean_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("d", ["2", "0", "-1"])
+def test_d_below_three_is_a_clean_error(capsys, tmp_path, d):
+    path = tmp_path / "ok.txt"
+    path.write_text("0 1 1 0 1 0\n")
+    code, out, err = run_cli(capsys, "test", str(path), "--d", d)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "d too small (q would be 0)" in err
+
+
 def test_bad_token_is_a_clean_error(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 2\n")

@@ -397,6 +397,17 @@ def test_integer_arguments_refuse_other_values(entry, value):
         call(value)
 
 
+# Every d below 3, zero and negative d included, gets the one fold-length message.
+D_ARGUMENTS = {entry: call for entry, (name, call) in INTEGER_ARGUMENTS.items() if name == "d"}
+
+
+@pytest.mark.parametrize("d", [2, 1, 0, -1])
+@pytest.mark.parametrize("entry", D_ARGUMENTS)
+def test_every_d_below_three_is_too_small(entry, d):
+    with pytest.raises(ValueError, match=r"^d too small \(q would be 0\)$"):
+        D_ARGUMENTS[entry](d)
+
+
 def comparable(result):
     """A comparable form of a result: each value with its type, arrays by
     dtype and bytes, dataclasses field by field."""

@@ -36,6 +36,9 @@ def test_q_counts():
 def test_rejects_too_short_vectors():
     with pytest.raises(ValueError, match="q would be 0"):
         periodogram_batch([1.0, 2.0])
+    for empty in ([], np.empty((4, 0))):
+        with pytest.raises(ValueError, match=r"^d too small \(q would be 0\)$"):
+            fisher_g_batch(empty)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
