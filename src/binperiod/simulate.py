@@ -91,16 +91,15 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        for name in ("n", "d", "replications", "seed", *_PARAMS[self.kind]):
+        for name in ("n", "replications", "seed", *_PARAMS[self.kind]):
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"{self.kind} needs {name}")
-            if name == "d":
-                object.__setattr__(self, name, _fold_length(value))
-            elif name in _INT_RANGES:
+            if name in _INT_RANGES:
                 object.__setattr__(self, name, _as_int(name, value, *_INT_RANGES[name]))
             elif name != "step" and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{self.kind} needs {name} in [0,1]")
+        object.__setattr__(self, "d", _fold_length(self.d))
         if self.n < self.d:
             raise ValueError("series shorter than d")
         if not 0.0 < self.alpha < 1.0:
