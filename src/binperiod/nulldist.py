@@ -19,12 +19,11 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-# Names of this module, so that tests can patch the CPU count and batch size here.
-from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
-from .rng import _UINT64_MAX, _as_int, substream
+from .rng import _UINT64_MAX, _as_int, _run_shards, substream
 from .spectral import GStatistic, _fold_length, fisher_g_batch
 
 __all__ = [
@@ -172,6 +171,23 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     return CriticalValue(q=q, alpha=alpha, exact=exact, approx=approx)
 
 
+def _draw_groups(seed: int, w, out, first: int, stop: int, batch: int) -> None:
+    """Fill the draws of key groups ``[first, stop)`` into ``out``.
+
+    A group's rows are drawn in order, in sub-batches of at most ``batch``
+    and 256 rows, into one buffer, and scaled by the weights ``w``.
+    """
+    d, count, rows = len(w), len(out), min(_GROUP, batch)
+    buf = np.empty((min(rows, count - first * _GROUP), d))
+    for group in range(first, stop):
+        gen = substream(seed, group)
+        end = min((group + 1) * _GROUP, count)
+        for start in range(group * _GROUP, end, rows):
+            normals = gen.standard_normal(out=buf[: min(rows, end - start)])
+            normals *= w
+            out[start : start + len(normals)], _, _ = fisher_g_batch(normals)
+
+
 def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.ndarray:
     """Draw ``count`` realisations of the statistic of (w_1 N_1, ..., w_d N_d).
 
@@ -182,14 +198,10 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
     ``count`` gives a prefix of a longer one. With equal weights this
     samples the exact null law of :func:`tail`.
 
-    The groups are split into T contiguous shards, T the number of CPUs in
-    the process's affinity mask capped at the number of groups, and
-    :func:`binperiod.rng._run_shards` runs them; each shard writes its
-    slice of the result. A shard draws a group's rows in sub-batches, in
-    row order, into one buffer of at most 256 rows and about 2**17 doubles,
-    and more than two shards split two such buffers' worth (52 rows at
-    d = 2520 for T <= 2). numpy fills rows in order, so every draw is the
-    same for any T.
+    :func:`binperiod.rng._run_shards` splits the groups into shards and
+    sizes their sub-batches (see :mod:`binperiod.rng`; 52 rows at d = 2520
+    on up to two CPUs), and each shard writes its slice of the result.
+    numpy fills rows in order, so every draw is the same for any shard count.
     """
     d = _fold_length(d)
     w = np.asarray(weights, dtype=float)
@@ -199,20 +211,6 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
         raise ValueError("invalid weight")
     count = _as_int("count", count, 1)
     seed = _as_int("seed", seed, 0, _UINT64_MAX)
-    groups = -(-count // _GROUP)
-    shards = min(_cpu_count(), groups)
-    rows = max(1, min(_GROUP, min(_BATCH_WORDS, _CELL_BATCHES * _BATCH_WORDS // shards) // d))
     out = np.empty(count)
-
-    def draw(first: int, stop: int) -> None:
-        buf = np.empty((min(rows, count - first * _GROUP), d))
-        for group in range(first, stop):
-            gen = substream(seed, group)
-            end = min((group + 1) * _GROUP, count)
-            for start in range(group * _GROUP, end, rows):
-                normals = gen.standard_normal(out=buf[: min(rows, end - start)])
-                normals *= w
-                out[start : start + len(normals)], _, _ = fisher_g_batch(normals)
-
-    _run_shards(draw, groups, shards)
+    _run_shards(partial(_draw_groups, seed, w, out), -(-count // _GROUP), count, d)
     return out

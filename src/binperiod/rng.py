@@ -15,16 +15,22 @@ each counter value yields four 64-bit words, i.e. four uniform doubles.
   of words, so a draw cannot own a fixed counter block; a group can be
   replayed from its key, and rows fill in order.
 
-Both Monte Carlo engines split their work into T contiguous shards, T at
-most the number of CPUs (:func:`_cpu_count`), and run them with
-:func:`_run_shards`. Each shard draws from its own key or counter block, so
-a result is the same for any T; one batch holds about ``_BATCH_WORDS``
-doubles, and a call holds at most ``_CELL_BATCHES`` batches' worth of draws
-at once; a table shard adds a bool batch and fold means of at most a fifth
-of its share. Every integer argument of the package (seeds, indices and
-widths here; the fold length d, the frequency count q and ``per_line``
-elsewhere) is a Python or numpy integer, read by :func:`_as_int`: a bool or
-a float (even 2.0) raises a ValueError naming the argument.
+Both Monte Carlo engines plan every call with :func:`_run_shards`, and
+nothing else sizes their work. A call of ``units`` indivisible units
+(replications, or the sampler's key groups) and ``rows`` rows of ``words``
+doubles runs on ``T = max(1, min(_cpu_count(), units, ceil(rows / max(1,
+_BATCH_WORDS // words)), budget // words))`` contiguous shards, where
+``budget = _CELL_BATCHES * _BATCH_WORDS``, and each shard draws batches of
+``max(1, min(_BATCH_WORDS, budget // T) // words)`` rows. So a call holds
+at most the budget (one row, if a row is wider), a call of at most one
+batch runs serially, and the working set does not grow with the CPU count;
+a table shard adds a bool batch and fold means of at most a fifth of its
+draws. Each shard draws from its own key or counter block, so a result is
+the same for any T. Every integer argument of the package (seeds, indices
+and widths here; the fold length d, the frequency count q and
+``per_line`` elsewhere) is a Python or numpy integer, read by
+:func:`_as_int`: a bool or a float (even 2.0) raises a ValueError naming
+the argument.
 """
 
 from __future__ import annotations
@@ -57,25 +63,30 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_shards(work, total: int, shards: int) -> list:
-    """Return ``[work(lo_i, hi_i) for i in range(shards)]``, in shard order.
+def _run_shards(work, units: int, rows: int, words: int) -> list:
+    """Return ``[work(lo_i, hi_i, batch) for i in range(T)]`` in shard order,
+    shard i covering units ``[units*i//T, units*(i+1)//T)``, T and ``batch``
+    planned by the module's rule.
 
-    Shard i covers ``[total*i//shards, total*(i+1)//shards)``. Shard 0 runs
-    on the calling thread and the others on a thread pool, one thread each.
-    If a shard fails, the call waits for every shard to finish and raises
-    the error of the lowest-numbered failed shard. A single shard is a plain
-    call: no pool, and no import of ``concurrent.futures`` (which loads
-    ``logging``).
+    Shard 0 runs on the calling thread and the others on a thread pool, one
+    thread each. If a shard fails, the call waits for every shard to finish
+    and raises the error of the lowest-numbered failed shard. A single
+    shard is a plain call: no pool, and no import of ``concurrent.futures``
+    (which loads ``logging``).
     """
+    budget = _CELL_BATCHES * _BATCH_WORDS
+    batches = -(-rows // max(1, _BATCH_WORDS // words))
+    shards = max(1, min(_cpu_count(), units, batches, budget // words))
+    batch = max(1, min(_BATCH_WORDS, budget // shards) // words)
     if shards == 1:
-        return [work(0, total)]
+        return [work(0, units, batch)]
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = [total * i // shards for i in range(shards + 1)]
+    bounds = [units * i // shards for i in range(shards + 1)]
     # Leaving the pool joins the helpers, also when shard 0 raises.
     with ThreadPoolExecutor(shards - 1) as pool:
-        helpers = [pool.submit(work, bounds[i], bounds[i + 1]) for i in range(1, shards)]
-        first = work(bounds[0], bounds[1])
+        helpers = [pool.submit(work, bounds[i], bounds[i + 1], batch) for i in range(1, shards)]
+        first = work(bounds[0], bounds[1], batch)
         return [first] + [helper.result() for helper in helpers]
 
 

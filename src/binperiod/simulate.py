@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 import numpy as np
 
 from .nulldist import _approx_critical_value
-# Names of this module, so that tests can patch the CPU count and batch size here.
-from .rng import _BATCH_WORDS, _CELL_BATCHES, _cpu_count, _run_shards
-from .rng import _UINT64_MAX, _as_int, block_words, replication_stream
+from .rng import _UINT64_MAX, _as_int, _run_shards, block_words, replication_stream
 from .series import BinarySeries
 from .spectral import _fold_length, fisher_g_batch, num_frequencies
 from .theory import PeriodicProfile
@@ -166,21 +165,24 @@ class PowerEstimate:
 
 
 def _count_rejections(
-    spec: ScenarioSpec, probs, k_alpha: float, start: int, stop: int, rows: int, block: int
+    spec: ScenarioSpec, probs, k_alpha: float, start: int, stop: int, rows: int
 ) -> int:
     """Rejections among replications ``[start, stop)`` of ``spec``'s run.
 
     ``probs`` is the length-n profile, or None for RANDOM_IID. The shard
     draws ``rows`` replications at a time from its own generator, advanced
-    to replication ``start``, and takes the statistic of ``block`` rows of
-    fold means at a time.
+    to replication ``start``, and takes the statistic of a block of whole
+    batches of fold means at a time: at most a fifth of its draw buffer, or
+    one batch.
     """
     n, d = spec.n, spec.d
     blocks = n // d
     used = blocks * d
     width = n if probs is not None else 2 * n
+    words = block_words(width)
+    block = rows * max(1, words // (5 * d))
     rng = replication_stream(spec.seed, start, width)
-    buf = np.empty((min(rows, stop - start), block_words(width)))
+    buf = np.empty((min(rows, stop - start), words))
     bits = np.empty((len(buf), used), dtype=bool)
     means = np.empty((min(block, stop - start), d))
     rejections = filled = 0
@@ -213,22 +215,17 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     exact value is available separately from
     :func:`binperiod.nulldist.critical_value`).
 
-    The replications are split into T contiguous shards, shard i covering
-    ``[reps*i//T, reps*(i+1)//T)``; T is the number of CPUs in the process's
-    affinity mask, capped at the number of batches in the cell. A batch is
-    about 2**17 uniforms (at least one row), and the cell holds at most two
-    batches' worth at once: up to two shards draw full batches, more shards
-    split that budget, and T is 1 when one replication alone is wider than a
-    batch. :func:`binperiod.rng._run_shards` runs the shards, each drawing
+    :func:`binperiod.rng._run_shards` splits the replications into shards
+    and sizes their batches (see :mod:`binperiod.rng`); each shard draws
     from its own generator, and the cell's count is the sum of the shards'
-    integer counts, so it is the same for any T.
+    integer counts, so it is the same for any shard count.
     ``simulate_series(profile, n, replication_stream(seed, k, n))``
     reproduces replication k alone.
 
     A shard compares a batch into its own bool buffer, folds it through a
     byte view, and runs ``fisher_g_batch`` once per block of whole batches
-    of fold means (at most a fifth of its share; 436 rows at n = 1200,
-    d = 60, T <= 2). The statistic is row-wise, so no count depends on it.
+    of fold means (436 rows at n = 1200, d = 60 on up to two CPUs). The
+    statistic is row-wise, so no count depends on the block.
     """
     t0 = perf_counter()
     reps = spec.replications
@@ -237,18 +234,8 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     # on the calling thread.
     probs = None if spec.kind == "RANDOM_IID" else np.resize(build_profile(spec).p, spec.n)
     words = block_words(spec.n if probs is not None else 2 * spec.n)
-    budget = _CELL_BATCHES * _BATCH_WORDS
-    batches = -(-reps // max(1, _BATCH_WORDS // words))
-    shards = max(1, min(_cpu_count(), batches, budget // words))
-    share = min(_BATCH_WORDS, budget // shards)
-    rows = max(1, share // words)
-    # Fold means of whole batches, at most a fifth of the share.
-    block = rows * max(1, share // (5 * spec.d * rows))
-
-    def count(start: int, stop: int) -> int:
-        return _count_rejections(spec, probs, k_alpha, start, stop, rows, block)
-
-    rejections = sum(_run_shards(count, reps, shards))
+    count = partial(_count_rejections, spec, probs, k_alpha)
+    rejections = sum(_run_shards(count, reps, reps, words))
     rate = rejections / reps
     std_error = math.sqrt(rate * (1.0 - rate) / reps)
     return PowerEstimate(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import binperiod
-from binperiod import nulldist
+from binperiod import nulldist, rng
 from binperiod.cli import run_test
 from binperiod.nulldist import (
     critical_value,
@@ -255,35 +255,54 @@ def serial_limit_statistic(d, weights, count, seed):
     return out
 
 
+# Per d, a count of three or more batches, and its shards on 1, 2, 3 and 8 CPUs.
+SHARDED_DRAWS = {11: (24000, [1, 2, 3, 3]), 60: (5000, [1, 2, 3, 3]), 2520: (1000, [1, 2, 3, 4])}
+
+
 @pytest.mark.parametrize("d", [11, 60, 2520])
 @pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
 def test_draws_do_not_depend_on_worker_count(monkeypatch, d, equal):
     w = np.ones(d) if equal else np.random.default_rng(d).uniform(0.2, 3.0, d)
+    sharded, shards = SHARDED_DRAWS[d]
+    firsts, draw_groups = [], nulldist._draw_groups
+
+    def recording(seed, w, out, first, stop, batch):
+        firsts.append(first)  # one call per shard
+        return draw_groups(seed, w, out, first, stop, batch)
+
+    monkeypatch.setattr(nulldist, "_draw_groups", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the shards as finely as we can
     try:
-        for count in (1, 255, 257, 600, 1000):
+        for count in sorted({1, 255, 257, 600, 1000, sharded}):
             expected = serial_limit_statistic(d, w, count, seed=d)
+            ran = []
             for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(nulldist, "_cpu_count", lambda: workers)
+                monkeypatch.setattr(rng, "_cpu_count", lambda: workers)
+                firsts.clear()
                 got = sample_limit_statistic(d, w, count, seed=d)
                 assert np.array_equal(got, expected), (count, workers)
+                ran.append(len(firsts))
+            if count == sharded:
+                assert ran == shards
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_sampler_helper_exception_reaches_caller(monkeypatch):
-    monkeypatch.setattr(nulldist, "_cpu_count", lambda: 2)
-    outcome = []
+    # 1,000 draws at d = 2520 are 4 groups of 20 batches: two shards.
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
+    outcome, threads = [], set()
 
     def failing_in_helpers(x):
+        threads.add(threading.current_thread())
         if threading.current_thread() is not caller:
             raise RuntimeError("shard 1 failed")
         return fisher_g_batch(x)
 
     def call():
         try:
-            sample_limit_statistic(60, np.ones(60), 1000)
+            sample_limit_statistic(2520, np.ones(2520), 1000)
         except RuntimeError as exc:
             outcome.append(exc)
 
@@ -293,12 +312,15 @@ def test_sampler_helper_exception_reaches_caller(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert [str(exc) for exc in outcome] == ["shard 1 failed"]
+    assert len(threads) == 2
 
 
 def test_sampler_caller_failure_joins_helpers(monkeypatch):
-    monkeypatch.setattr(nulldist, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
+    threads = set()
 
     def failing_in_caller(x):
+        threads.add(threading.current_thread())
         if threading.current_thread() is threading.main_thread():
             raise RuntimeError("shard 0 failed")
         time.sleep(0.02)  # keeps the helper busy well after shard 0 fails
@@ -307,14 +329,15 @@ def test_sampler_caller_failure_joins_helpers(monkeypatch):
     monkeypatch.setattr(nulldist, "fisher_g_batch", failing_in_caller)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="shard 0 failed"):
-        sample_limit_statistic(60, np.ones(60), 1000)
+        sample_limit_statistic(2520, np.ones(2520), 1000)
     assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert len(threads) == 2
 
 
 def test_sampler_working_set_does_not_grow_with_workers(monkeypatch):
     # Eight shards share two batches' worth of rows (13 rows each at
     # d = 2520) instead of holding eight 256-row groups (about 39 MiB).
-    monkeypatch.setattr(nulldist, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 8)
     tracemalloc.start()
     try:
         sample_limit_statistic(2520, np.ones(2520), 1000)
@@ -324,14 +347,30 @@ def test_sampler_working_set_does_not_grow_with_workers(monkeypatch):
     assert peak < 8 * 2**20
 
 
+def test_sampler_runs_rows_wider_than_its_share_on_one_thread(monkeypatch):
+    # A 1,500-wide row is over half of a 2 x 1024-double budget, so one row
+    # fills it: eight shards of one row each held about six times as much.
+    monkeypatch.setattr(rng, "_BATCH_WORDS", 1024)
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 8)
+    threads = set()
+
+    def recording(x):
+        threads.add(threading.current_thread())
+        return fisher_g_batch(x)
+
+    monkeypatch.setattr(nulldist, "fisher_g_batch", recording)
+    w = np.linspace(0.5, 2.0, 1500)
+    got = sample_limit_statistic(1500, w, 2048, seed=4)
+    assert threads == {threading.current_thread()}
+    assert np.array_equal(got, serial_limit_statistic(1500, w, 2048, seed=4))
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_sampler_checks_seed_before_sharding(monkeypatch, seed):
-    monkeypatch.setattr(nulldist, "_cpu_count", lambda: 8)
+    def no_plan():
+        raise AssertionError("planned shards with an invalid seed")
 
-    def no_shards(work, total, shards):
-        raise AssertionError("sharded with an invalid seed")
-
-    monkeypatch.setattr(nulldist, "_run_shards", no_shards)
+    monkeypatch.setattr(rng, "_cpu_count", no_plan)
     with pytest.raises(ValueError, match="seed"):
         sample_limit_statistic(60, np.ones(60), 1000, seed=seed)
 

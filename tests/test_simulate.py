@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from binperiod import nulldist, simulate
+from binperiod import nulldist, rng, simulate
 from binperiod.nulldist import critical_value
 from binperiod.rng import block_words, replication_stream, substream
 from binperiod.series import BinarySeries, fold
@@ -199,10 +199,12 @@ def test_estimate_power_working_set_is_bounded():
     assert peak < 4 * 2**20
 
 
+# Every spec has at least three batches, so that it runs on as many shards as
+# CPUs, up to three or more.
 SHARDED_SPECS = [
-    ScenarioSpec(kind="PI_DIGITS", length=120, n=120, d=12, replications=300, seed=11),
-    ScenarioSpec(kind="ARITH_STEP", r=4, step=0.2, n=122, d=12, replications=300, seed=11),
-    ScenarioSpec(kind="RANDOM_IID", n=122, d=12, replications=300, seed=11),
+    ScenarioSpec(kind="PI_DIGITS", length=120, n=120, d=12, replications=2500, seed=11),
+    ScenarioSpec(kind="ARITH_STEP", r=4, step=0.2, n=122, d=12, replications=2500, seed=11),
+    ScenarioSpec(kind="RANDOM_IID", n=122, d=12, replications=2500, seed=11),
     ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=2000, seed=3),
     ScenarioSpec(kind="RANDOM_IID", n=1200, d=60, replications=2000, seed=3),
 ]
@@ -211,8 +213,9 @@ SHARDED_SPECS = [
 @pytest.mark.parametrize("spec", SHARDED_SPECS, ids=lambda spec: f"{spec.kind}-{spec.n}")
 def test_counts_do_not_depend_on_worker_count(monkeypatch, spec):
     width = 2 * spec.n if spec.kind == "RANDOM_IID" else spec.n
-    rows = simulate._BATCH_WORDS // block_words(width)
+    rows = rng._BATCH_WORDS // block_words(width)
     batches = -(-spec.replications // rows)
+    assert batches >= 3
     starts = []
 
     def recording_stream(seed, index, width):
@@ -227,9 +230,10 @@ def test_counts_do_not_depend_on_worker_count(monkeypatch, spec):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+                monkeypatch.setattr(rng, "_cpu_count", lambda: workers)
                 starts.clear()
                 counts.append(estimate_power(spec).rejections)
+                # One stream per shard, at the shard's first replication.
                 shards = min(workers, batches)
                 assert sorted(starts) == [spec.replications * i // shards for i in range(shards)]
     finally:
@@ -245,10 +249,10 @@ def test_prefix_counts_match_on_three_workers(monkeypatch, kind):
     # one-row batches.
     spec = ScenarioSpec(kind=kind, r=4, step=0.2, n=122, d=12, replications=60, seed=6)
     width = 2 * spec.n if kind == "RANDOM_IID" else spec.n
-    monkeypatch.setattr(simulate, "_BATCH_WORDS", 2 * block_words(width))
+    monkeypatch.setattr(rng, "_BATCH_WORDS", 2 * block_words(width))
 
     def prefix_counts(workers):
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(rng, "_cpu_count", lambda: workers)
         return [
             estimate_power(replace(spec, replications=m)).rejections
             for m in range(1, spec.replications + 1)
@@ -259,10 +263,11 @@ def test_prefix_counts_match_on_three_workers(monkeypatch, kind):
 
 def test_helper_exception_reaches_caller(monkeypatch):
     spec = ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=2000, seed=3)
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
-    outcome = []
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
+    outcome, threads = [], set()
 
     def failing_in_helpers(x):
+        threads.add(threading.current_thread())
         if threading.current_thread() is not caller:
             raise RuntimeError("shard 1 failed")
         return fisher_g_batch(x)
@@ -279,13 +284,16 @@ def test_helper_exception_reaches_caller(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert [str(exc) for exc in outcome] == ["shard 1 failed"]
+    assert len(threads) == 2
 
 
 def test_caller_failure_joins_helpers(monkeypatch):
     spec = ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=2000, seed=3)
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
+    threads = set()
 
     def failing_in_caller(x):
+        threads.add(threading.current_thread())
         if threading.current_thread() is threading.main_thread():
             raise RuntimeError("shard 0 failed")
         time.sleep(0.02)  # keeps the helper busy well after shard 0 fails
@@ -296,6 +304,7 @@ def test_caller_failure_joins_helpers(monkeypatch):
     with pytest.raises(RuntimeError, match="shard 0 failed"):
         estimate_power(spec)
     assert not [t for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert len(threads) == 2
 
 
 @pytest.mark.parametrize("kind", ["ARITH_STEP", "RANDOM_IID"])
@@ -303,22 +312,28 @@ def test_working_set_does_not_grow_with_workers(monkeypatch, kind):
     # Two shards hold two batches (about 2.7 MiB at n = 1200); eight shards
     # share the same budget instead of holding eight batches (about 9 MiB).
     # The blocks of fold means shrink with the shards' share too; a fixed
-    # 1024-row block per shard exceeds the bound.
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
-    for reps in (2000, 20000):
-        spec = ScenarioSpec(kind=kind, r=20, step=0.01, n=1200, d=60, replications=reps, seed=3)
+    # 1024-row block per shard exceeds the bound. The first call of a
+    # process also makes one-off allocations (5.0 MiB in all), so the first
+    # cell runs once before it is measured.
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 8)
+    specs = [
+        ScenarioSpec(kind=kind, r=20, step=0.01, n=1200, d=60, replications=reps, seed=3)
+        for reps in (2000, 20000)
+    ]
+    estimate_power(specs[0])
+    for spec in specs:
         tracemalloc.start()
         try:
             estimate_power(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 2**20, reps
+        assert peak < 3.5 * 2**20, spec.replications
 
 
 def test_wide_replications_run_serially(monkeypatch):
     # Eight shards of the working-set spec would hold eight 1.6 MB rows.
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 8)
     spec = ScenarioSpec(kind="RANDOM_IID", n=100_000, d=60, replications=16, seed=1)
     tracemalloc.start()
     try:
@@ -384,7 +399,7 @@ def test_counts_match_former_batch_loop(monkeypatch, spec):
             warnings.simplefilter("ignore", UserWarning)
             expected = former_rejections(spec)
             for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+                monkeypatch.setattr(rng, "_cpu_count", lambda: workers)
                 counts.append(estimate_power(spec).rejections)
     finally:
         sys.setswitchinterval(interval)
@@ -400,11 +415,52 @@ def test_statistic_runs_once_per_block_of_batches(monkeypatch):
         return fisher_g_batch(x)
 
     monkeypatch.setattr(simulate, "fisher_g_batch", counting)
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
     spec = ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=1200, d=60, replications=20000)
     estimate_power(spec)
     assert sum(calls) == spec.replications
     assert len(calls) <= 184 // 4
+
+
+def test_benchmark_workloads_keep_their_plan(monkeypatch):
+    # (shards, rows per batch, rows per statistic call) on two CPUs for the
+    # table cells and the sampler call that the benchmark runs.
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
+    batches, sizes = [], []
+    count_rejections, draw_groups = simulate._count_rejections, nulldist._draw_groups
+
+    def recording_count(spec, probs, k_alpha, start, stop, rows):
+        batches.append(rows)
+        return count_rejections(spec, probs, k_alpha, start, stop, rows)
+
+    def recording_draw(seed, w, out, first, stop, batch):
+        batches.append(batch)
+        return draw_groups(seed, w, out, first, stop, batch)
+
+    def recording_statistic(x):
+        sizes.append(len(x))
+        return fisher_g_batch(x)
+
+    def plan():
+        recorded = (len(batches), max(batches), max(sizes))
+        batches.clear()
+        sizes.clear()
+        return recorded
+
+    monkeypatch.setattr(simulate, "_count_rejections", recording_count)
+    monkeypatch.setattr(nulldist, "_draw_groups", recording_draw)
+    monkeypatch.setattr(simulate, "fisher_g_batch", recording_statistic)
+    monkeypatch.setattr(nulldist, "fisher_g_batch", recording_statistic)
+    common = dict(n=1200, d=60, replications=20000, seed=1)
+    estimate_power(ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, **common))
+    assert plan() == (2, 109, 436)
+    estimate_power(ScenarioSpec(kind="RANDOM_IID", **common))
+    assert plan() == (2, 54, 432)
+    with pytest.warns(UserWarning, match="touches 0 or 1"):
+        estimate_power(ScenarioSpec(kind="PI_DIGITS", length=120, **dict(common, n=120, d=12)))
+    assert plan() == (2, 1092, 2184)
+    nulldist.sample_limit_statistic(2520, np.ones(2520), 1000, seed=1)
+    assert plan() == (2, 52, 52)
 
 
 def test_null_level_is_close_to_alpha():
