@@ -1,12 +1,16 @@
 """Counter-based random streams for reproducible, order-independent replication.
 
 Every stream is a Philox-4x64 generator keyed by a pair ``(seed, index)``;
-each counter value yields four 64-bit words, i.e. four uniform doubles.
+each counter value yields four 64-bit words. ``Generator.random`` turns a
+word into the uniform double ``(word >> 11) * 2**-53``.
 
 * Monte Carlo replications (:func:`replication_stream`): a run has the one
-  key ``(seed, 0)``, and replication k of width w (the uniforms it consumes)
+  key ``(seed, 0)``, and replication k of width w (the words it consumes)
   owns the counter block ``[k*c, (k+1)*c)`` with ``c = ceil(w/4)``. A batch
-  of m replications is one ``random((m, block_words(w)))`` draw, any
+  of m replications is one draw of ``m * block_words(w)`` raw words
+  (``bit_generator.random_raw``), which the table engine compares with
+  integer thresholds; the uniform doubles of the same words give the same
+  decisions (see :func:`binperiod.simulate.estimate_power`). Any
   replication can be replayed alone, and results cannot depend on batching
   or on how many workers draw disjoint replication ranges side by side.
 * Limit-law draws (:func:`substream`): each group of 256 draws has its own
@@ -18,8 +22,9 @@ each counter value yields four 64-bit words, i.e. four uniform doubles.
 Both Monte Carlo engines plan every call with :func:`_run_shards`, and
 nothing else sizes their work. A call of ``units`` indivisible units
 (replications, or the sampler's key groups) and ``rows`` rows of ``words``
-doubles runs on ``T = max(1, min(_cpu_count(), units, ceil(rows / max(1,
-_BATCH_WORDS // words)), budget // words))`` contiguous shards, where
+8-byte values (raw words, or the sampler's normals) runs on ``T = max(1,
+min(_cpu_count(), units, ceil(rows / max(1, _BATCH_WORDS // words)),
+budget // words))`` contiguous shards, where
 ``budget = _CELL_BATCHES * _BATCH_WORDS``, and each shard draws batches of
 ``max(1, min(_BATCH_WORDS, budget // T) // words)`` rows. So a call holds
 at most the budget (one row, if a row is wider), a call of at most one
@@ -44,7 +49,7 @@ __all__ = ["block_words", "replication_stream", "substream"]
 
 _UINT64_MAX = 2**64 - 1
 
-# Doubles per batch of draws: about 1 MiB (109 rows at n = 1200). Whole
+# 8-byte values per batch of draws: about 1 MiB (109 rows at n = 1200). Whole
 # 1024-row batches raised the peak RSS of one n = 1200 cell from 37 to 48 MB
 # (58 MB for RANDOM_IID); with this cap it stays at the interpreter's 37 MB.
 _BATCH_WORDS = 2**17
@@ -108,14 +113,14 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def block_words(width: int) -> int:
-    """Doubles in the counter block of a replication of ``width`` uniforms."""
+    """Words in the counter block of a replication of ``width`` words."""
     return -(-_as_int("width", width, 1) // 4) * 4
 
 
 def replication_stream(seed: int, index: int, width: int) -> np.random.Generator:
     """Return run ``seed``'s generator advanced to replication ``index``.
 
-    Its first ``width`` uniforms are that replication's; further draws
+    Its first ``width`` words are that replication's; further draws
     continue into the blocks of the replications that follow.
     """
     index = _as_int("index", index, 0, _UINT64_MAX)

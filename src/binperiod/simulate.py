@@ -164,16 +164,32 @@ class PowerEstimate:
     elapsed: float
 
 
+# The 53 high bits of a raw word, all that Generator.random keeps of it:
+# u = (raw >> 11) * 2**-53.
+_KEPT_BITS = ~np.uint64(0x7FF)
+
+
+def _thresholds(p) -> tuple[np.ndarray, np.ndarray]:
+    """Return the uint64 thresholds ``ceil(p * 2**53) * 2**11``, below which
+    a raw word's uniform double is below p (see :func:`estimate_power`), and
+    the indices where p = 1, whose threshold 2**64 wraps to 0: the caller
+    sets their bits itself."""
+    p = np.asarray(p, dtype=float)
+    thresholds = np.ceil(np.ldexp(p, 53)).astype(np.uint64) << np.uint64(11)
+    return thresholds, np.flatnonzero(p == 1.0)
+
+
 def _count_rejections(
     spec: ScenarioSpec, probs, k_alpha: float, start: int, stop: int, rows: int
 ) -> int:
     """Rejections among replications ``[start, stop)`` of ``spec``'s run.
 
     ``probs`` is the length-n profile, or None for RANDOM_IID. The shard
-    draws ``rows`` replications at a time from its own generator, advanced
-    to replication ``start``, and takes the statistic of a block of whole
-    batches of fold means at a time: at most a fifth of its draw buffer, or
-    one batch.
+    draws the raw words of ``rows`` replications at a time from its own
+    stream, advanced to replication ``start``, decides their bits with
+    integer compares (see :func:`estimate_power`), and takes the statistic
+    of a block of whole batches of fold means at a time: at most a fifth of
+    its draws, or one batch.
     """
     n, d = spec.n, spec.d
     blocks = n // d
@@ -181,18 +197,23 @@ def _count_rejections(
     width = n if probs is not None else 2 * n
     words = block_words(width)
     block = rows * max(1, words // (5 * d))
-    rng = replication_stream(spec.seed, start, width)
-    buf = np.empty((min(rows, stop - start), words))
-    bits = np.empty((len(buf), used), dtype=bool)
+    if probs is not None:
+        thresholds, certain = _thresholds(probs[:used])
+    bitgen = replication_stream(spec.seed, start, width).bit_generator
+    bits = np.empty((min(rows, stop - start), used), dtype=bool)
     means = np.empty((min(block, stop - start), d))
     rejections = filled = 0
     while start < stop:
         m = min(rows, stop - start)
-        u = rng.random(out=buf[:m])
+        raw = bitgen.random_raw(m * words).reshape(m, words)
         if probs is not None:
-            np.less(u[:, :used], probs[:used], out=bits[:m])
+            np.less(raw[:, :used], thresholds, out=bits[:m])
+            bits[:m, certain] = True
         else:
-            np.less(u[:, n : n + used], u[:, :used], out=bits[:m])
+            np.bitwise_and(raw[:, :used], _KEPT_BITS, out=raw[:, :used])
+            np.less(raw[:, n : n + used], raw[:, :used], out=bits[:m])
+        # Freed before the next draw, so a shard never holds two batches.
+        del raw
         counts = bits[:m].view(np.uint8).reshape(m, blocks, d).sum(axis=1, dtype=np.uint32)
         np.divide(counts, blocks, out=means[filled : filled + m])
         filled += m
@@ -207,20 +228,33 @@ def _count_rejections(
 def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     """Monte Carlo rejection rate of the level-alpha test under ``spec``.
 
-    Replication k takes its uniforms from its counter block of the run's
-    stream (see :mod:`binperiod.rng`): n bit uniforms, or for RANDOM_IID n
-    probabilities followed by n bit uniforms. It folds its series with
+    Replication k takes its words from its counter block of the run's
+    stream (see :mod:`binperiod.rng`): n bit words, or for RANDOM_IID n
+    probability words followed by n bit words. It folds its series with
     spec.d and rejects when the guarded statistic exceeds the one-term
     approximate critical value (the convention all shipped tables use; the
     exact value is available separately from
     :func:`binperiod.nulldist.critical_value`).
 
+    Bits are decided on the raw 64-bit words, with no conversion to double.
+    ``Generator.random`` maps a word to ``u = (raw >> 11) * 2**-53``, which
+    is exact and monotone in ``raw``, so the two rules below give the same
+    bits as comparing those uniform doubles:
+
+    * a fixed profile sets bit l when ``raw_l < ceil(p_l * 2**53) * 2**11``
+      (``u_l < p_l``); where p_l = 1 that threshold, 2**64, wraps to 0 in
+      uint64, so those bits are set explicitly;
+    * RANDOM_IID sets bit l when ``raw_bit < raw_prob & ~0x7FF``
+      (``u_bit < u_prob``): clearing the 11 low bits that the double drops
+      from the probability word is the same threshold with
+      ``p * 2**53 = raw_prob >> 11``.
+
     :func:`binperiod.rng._run_shards` splits the replications into shards
     and sizes their batches (see :mod:`binperiod.rng`); each shard draws
     from its own generator, and the cell's count is the sum of the shards'
     integer counts, so it is the same for any shard count.
-    ``simulate_series(profile, n, replication_stream(seed, k, n))``
-    reproduces replication k alone.
+    ``simulate_series(profile, n, replication_stream(seed, k, n))``, which
+    compares the doubles, reproduces replication k alone.
 
     A shard compares a batch into its own bool buffer, folds it through a
     byte view, and runs ``fisher_g_batch`` once per block of whole batches

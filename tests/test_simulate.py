@@ -381,6 +381,10 @@ ENGINE_SPECS = [
     ScenarioSpec(kind="RANDOM_IID", n=1210, d=60, replications=2000, seed=8),
     # 2,003 replications leave every shard a short last block.
     ScenarioSpec(kind="SINE", r=4, n=1200, d=60, replications=2003, seed=8),
+    # p = 0 and p = 1, whose integer threshold wraps to 0. With r coprime to
+    # d the count is not saturated, so bits lost at p = 1 move it (118 to 106).
+    ScenarioSpec(kind="ENDPOINTS", r=7, p_lo=0.0, p_hi=1.0, n=1200, d=60, replications=2000,
+                 seed=8),
     # 67,000 blocks: a fold count near 65,536 wraps in a 16-bit accumulator
     # in about half of the positions, which took all 3 rejections to 0.
     ScenarioSpec(kind="CONSTANT", p1=65536 / 67000, n=7 * 67000, d=7, replications=30, seed=0),
@@ -404,6 +408,64 @@ def test_counts_match_former_batch_loop(monkeypatch, spec):
     finally:
         sys.setswitchinterval(interval)
     assert counts == [expected] * 4
+
+
+def test_thresholds_decide_as_the_double_compare():
+    # Column j holds the words around p_j's threshold T_j * 2^11 and the
+    # extreme words, each with the decision Generator.random's double gives.
+    p = [0.0, 2**-53, 0.1, 0.5, 1 - 2**-53, 1.0]
+    thresholds, certain = simulate._thresholds(p)
+    edges = [math.ceil(x * 2**53) * 2**11 for x in p]
+    assert thresholds.tolist() == [edge % 2**64 for edge in edges]
+    assert certain.tolist() == [5]
+    words = np.array(
+        [[min(max(w, 0), 2**64 - 1) for w in (0, edge - 1, edge, 2**64 - 1)] for edge in edges],
+        dtype=np.uint64,
+    ).T
+    bits = words < thresholds
+    bits[:, certain] = True
+    assert bits.tolist() == ((words >> np.uint64(11)) * 2.0**-53 < np.array(p)).tolist()
+
+
+def test_random_iid_mask_decides_as_the_double_compare():
+    # Bit and probability words that share their top 53 bits give equal
+    # doubles, so no bit is set however their low 11 bits differ.
+    tops = [0, 1, 2**52, 2**53 - 1]
+    lows = [0, 1, 0x7FF]
+    probs = np.array([(top << 11) | low for top in tops for low in lows], dtype=np.uint64)
+    words = np.array(
+        [min(max((top << 11) + offset, 0), 2**64 - 1)
+         for top in tops for offset in (-1, 0, 1, 0x7FF, 0x800)],
+        dtype=np.uint64,
+    )
+    bit_words, prob_words = (a.ravel() for a in np.meshgrid(words, probs))
+    decided = bit_words < (prob_words & simulate._KEPT_BITS)
+    doubles = [(raw >> np.uint64(11)) * 2.0**-53 for raw in (bit_words, prob_words)]
+    assert decided.tolist() == (doubles[0] < doubles[1]).tolist()
+    assert not decided[(bit_words >> np.uint64(11)) == (prob_words >> np.uint64(11))].any()
+
+
+# Rejections of every T1-T5 and PI cell at 2,000 replications, seed 0, as
+# the engine drew them from doubles; the integer compares must not move one.
+TABLE_COUNTS = {
+    "T1": [80, 117, 83, 98, 100, 87, 107, 92, 101],
+    "T2": [97, 84, 99, 109, 91, 98, 92, 90, 147, 88, 158, 95, 92, 280, 95, 85, 116, 89, 612,
+           103, 90, 107, 164, 106, 89, 100, 86, 92, 1471],
+    "T3": [96, 92, 126, 156, 175, 102, 123, 95, 630, 79, 1016, 94, 84, 1516, 128, 115, 206, 95,
+           1939, 88, 92, 104, 1083, 174, 104, 109, 120, 247, 2000],
+    "T4": [100, 1948, 1697, 1364, 1202, 96, 205, 117, 842, 79, 803, 81, 99, 745, 100, 104, 111,
+           90, 701, 103, 87, 106, 139, 100, 88, 97, 103, 105, 665],
+    "T5": [100, 100, 2000, 100, 2000, 72, 2000, 2000, 2000],
+    "PI": [104],
+}
+
+
+@pytest.mark.parametrize("table_id", list(TABLE_COUNTS))
+def test_table_counts_are_pinned(table_id):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        counts = [est.rejections for est in iter_table(table_id, replications=2000, seed=0)]
+    assert counts == TABLE_COUNTS[table_id]
 
 
 def test_statistic_runs_once_per_block_of_batches(monkeypatch):
