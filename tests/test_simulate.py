@@ -187,7 +187,7 @@ def test_replication_replays_alone(kind):
 
 
 def test_estimate_power_working_set_is_bounded():
-    # One RANDOM_IID replication at n = 10^5 is 2*10^5 doubles (1.6 MB); a
+    # One RANDOM_IID replication at n = 10^5 is 2*10^5 words (1.6 MB); a
     # batch of all 16 rows at once would hold 25.6 MB.
     spec = ScenarioSpec(kind="RANDOM_IID", n=100_000, d=60, replications=16, seed=1)
     tracemalloc.start()
