@@ -5,13 +5,14 @@ the survival function of the ratio statistic has Fisher's (1929) closed form
 
     P(g >= x) = sum_{j=1..q} (-1)^{j+1} C(q, j) (1 - j x)_+^{q-1},
 
-supported on [1/q, 1]. Critical values solve P(g >= k) = alpha; the classical
-practical shortcut keeps only the j = 1 summand and solves
-q (1 - x)^{q-1} = alpha in closed form. Both routes are exposed because the
-alternating sum and its one-term approximation differ visibly in the fourth
-decimal at conventional levels. The alternating sum has one float path for
-every q, with no cap, certified by a bound on its own rounding; where the
-bound fails, ``decimal`` takes it.
+supported on [1/q, 1]. Both tails take its edges in one order: x q <= 1 gives
+1, then x >= 1 gives 0, so at q = 1, where g is identically 1, x = 1 gives 1.
+Critical values solve P(g >= k) = alpha; the classical practical shortcut
+keeps only the j = 1 summand and solves q (1 - x)^{q-1} = alpha in closed
+form. Both routes are exposed because the alternating sum and its one-term
+approximation differ visibly in the fourth decimal at conventional levels.
+The alternating sum has one float path for every q, with no cap, certified
+by a bound on its own rounding; where the bound fails, ``decimal`` takes it.
 """
 
 from __future__ import annotations
@@ -54,13 +55,13 @@ def tail(q: int, x: float) -> float:
     x = float(x)
     if math.isnan(x):  # fails every comparison; the clamps would give 0 or 1
         raise ValueError("statistic is NaN")
-    if x >= 1.0:
-        return 0.0
     if x * q <= 1.0 or (x * q < 2.0 and (x * q - 1.0) ** (q - 1) < 2.0**-55):
         # g is the largest coordinate of a uniform point on the simplex; points
         # with all coordinates below x map into it by u -> (x - u) / (qx - 1),
         # so P(g < x) <= (qx - 1)^(q-1); below 2^-55 the tail rounds to 1.0.
         return 1.0
+    if x >= 1.0:
+        return 0.0
     power, terms, size, comb = q - 1, [], 0.0, 1
     try:
         for j in range(1, q + 1):
@@ -101,10 +102,10 @@ def tail_approx(q: int, x: float) -> float:
     x = float(x)
     if math.isnan(x):
         raise ValueError("statistic is NaN")
+    if x * q <= 1.0:
+        return 1.0
     if x >= 1.0:
         return 0.0
-    if x <= 0.0:
-        return 1.0
     return min(1.0, q * (1.0 - x) ** (q - 1))
 
 
@@ -153,13 +154,11 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     ``exact`` inverts the alternating tail by bisection on [1/q, 1], where the
     tail is continuous and strictly decreasing, to within ``BISECTION_TOL``
     (the positive-part kinks make derivative-based root finding unreliable).
-    ``approx`` is the closed form 1 - (alpha/q)^{1/(q-1)} for q >= 2. For
-    q = 1 the statistic is identically 1, so both values are 1.
+    ``approx`` is the closed form 1 - (alpha/q)^{1/(q-1)} for q >= 2. At
+    q = 1 the bracket is empty and both are 1, by the module's edge rule.
     """
     q = _as_int("q", q, 1)
     approx = _approx_critical_value(q, alpha)
-    if q == 1:
-        return CriticalValue(q=1, alpha=alpha, exact=1.0, approx=approx)
     lo, hi = 1.0 / q, 1.0
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)

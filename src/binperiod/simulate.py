@@ -47,18 +47,21 @@ _PARAMS = {
 }
 KINDS = tuple(_PARAMS)
 
-# Ranges of the integer fields, which ScenarioSpec stores as Python ints.
+# Ranges of the integer fields besides d, which ScenarioSpec stores as Python
+# ints; label() prints every other parameter with :g.
 _INT_RANGES = {"n": (1,), "replications": (1,), "seed": (0, _UINT64_MAX),
                "r": (2,), "length": (1, len(PI_DIGITS))}
+_FLOAT_KEYS = ("alpha", "p1", "step", "mean", "p_lo", "p_hi")
 
-# Type of each scenario-file key; label() prints the float ones with :g. A
-# seed out of range fails here, so that its error names the line.
-_SCENARIO_KEYS = {
-    "kind": str.upper,
-    **dict.fromkeys(("n", "d", "replications", "r", "length"), int),
-    "seed": lambda value: _as_int("seed", int(value), *_INT_RANGES["seed"]),
-    **dict.fromkeys(("alpha", "p1", "step", "mean", "p_lo", "p_hi"), float),
-}
+
+def _read_value(key: str, text: str):
+    """Read a scenario-file value by the rule ScenarioSpec applies to its key."""
+    if key == "kind":
+        return text.upper()
+    if key in _FLOAT_KEYS:
+        return float(text)
+    value = int(text)
+    return _fold_length(value) if key == "d" else _as_int(key, value, *_INT_RANGES[key])
 
 
 @dataclass(frozen=True)
@@ -110,13 +113,13 @@ class ScenarioSpec:
         params = _PARAMS[self.kind]
         if not params:
             return 0
-        return int(getattr(self, params[0])) if _SCENARIO_KEYS[params[0]] is int else 1
+        return getattr(self, params[0]) if params[0] in _INT_RANGES else 1
 
     def label(self) -> str:
         """Short comma-free scenario tag used in the CSV scenario column."""
         cells = " ".join(
-            f"{name}={getattr(self, name):g}" if _SCENARIO_KEYS[name] is float
-            else f"{name}={getattr(self, name)}"
+            f"{name}={getattr(self, name)}" if name in _INT_RANGES
+            else f"{name}={getattr(self, name):g}"
             for name in _PARAMS[self.kind]
         )
         return f"{self.kind}[{cells}]" if cells else self.kind
@@ -202,26 +205,24 @@ def _count_rejections(
     bitgen = replication_stream(spec.seed, start, width).bit_generator
     bits = np.empty((min(rows, stop - start), used), dtype=bool)
     means = np.empty((min(block, stop - start), d))
-    rejections = filled = 0
-    while start < stop:
-        m = min(rows, stop - start)
-        raw = bitgen.random_raw(m * words).reshape(m, words)
-        if probs is not None:
-            np.less(raw[:, :used], thresholds, out=bits[:m])
-            bits[:m, certain] = True
-        else:
-            np.bitwise_and(raw[:, :used], _KEPT_BITS, out=raw[:, :used])
-            np.less(raw[:, n : n + used], raw[:, :used], out=bits[:m])
-        # Freed before the next draw, so a shard never holds two batches.
-        del raw
-        counts = bits[:m].view(np.uint8).reshape(m, blocks, d).sum(axis=1, dtype=np.uint32)
-        np.divide(counts, blocks, out=means[filled : filled + m])
-        filled += m
-        start += m
-        if start == stop or filled + min(rows, stop - start) > len(means):
-            values, _, _ = fisher_g_batch(means[:filled])
-            rejections += int(np.count_nonzero(values > k_alpha))
-            filled = 0
+    rejections = 0
+    for first in range(start, stop, block):
+        last = min(first + block, stop)
+        for lo in range(first, last, rows):
+            m = min(rows, last - lo)
+            raw = bitgen.random_raw(m * words).reshape(m, words)
+            if probs is not None:
+                np.less(raw[:, :used], thresholds, out=bits[:m])
+                bits[:m, certain] = True
+            else:
+                np.bitwise_and(raw[:, :used], _KEPT_BITS, out=raw[:, :used])
+                np.less(raw[:, n : n + used], raw[:, :used], out=bits[:m])
+            # Freed before the next draw, so a shard never holds two batches.
+            del raw
+            counts = bits[:m].view(np.uint8).reshape(m, blocks, d).sum(axis=1, dtype=np.uint32)
+            np.divide(counts, blocks, out=means[lo - first : lo - first + m])
+        values, _, _ = fisher_g_batch(means[: last - first])
+        rejections += int(np.count_nonzero(values > k_alpha))
     return rejections
 
 
@@ -347,14 +348,14 @@ def read_scenario(path) -> ScenarioSpec:
             key, _, value = line.partition(sep)
             key = key.strip().lower()
             value = value.strip()
-            if key not in _SCENARIO_KEYS:
+            if key not in ("kind", "d", *_INT_RANGES, *_FLOAT_KEYS):
                 raise ValueError(f"line {lineno}: unknown scenario key {key!r}")
             if key in fields:
                 raise ValueError(f"line {lineno}: repeated scenario key {key!r}")
             try:
-                fields[key] = _SCENARIO_KEYS[key](value)
-            except ValueError:
-                raise ValueError(f"line {lineno}: cannot read {key} = {value!r}") from None
+                fields[key] = _read_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: cannot read {key} = {value!r}: {exc}") from None
             lines[key] = lineno
     for required in ("kind", "n", "d"):
         if required not in fields:

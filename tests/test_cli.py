@@ -133,6 +133,14 @@ def test_round_trip_matches_direct_report(tmp_path):
     assert direct == reread
 
 
+def test_d3_fold_has_statistic_one_and_is_accepted():
+    # d = 3 gives q = 1, where g is identically 1 on any non-constant fold.
+    report = run_test(BinarySeries([0, 1, 1, 0, 1, 0]), d=3)
+    assert (report.q, report.degenerate, report.statistic) == (1, False, 1.0)
+    assert report.p_exact == report.p_approx == 1.0
+    assert report.decision == report.decision_exact == "accept"
+
+
 def test_theory_command(capsys, tmp_path):
     path = tmp_path / "profile.txt"
     path.write_text("# three-phase profile\n0.2 0.5 0.8\n")

@@ -59,8 +59,9 @@ def test_two_term_hand_value():
 
 
 def test_tail_is_zero_at_and_above_one():
+    # At q = 1 the statistic is identically 1, so P(g >= 1) = 1.
     for q in (1, 2, 7, 29):
-        assert tail(q, 1.0) == 0.0
+        assert tail(q, 1.0) == (1.0 if q == 1 else 0.0)
         assert tail(q, 1.5) == 0.0
 
 
@@ -78,7 +79,7 @@ def test_tail_monotone_grid():
         values = [tail(q, x) for x in xs]
         assert all(a >= b - 5e-12 for a, b in zip(values, values[1:]))
         assert values[0] == 1.0
-        assert values[-1] == 0.0
+        assert values[-1] == (1.0 if q == 1 else 0.0)  # g is identically 1 at q = 1
 
 
 def test_tail_matches_rational_oracle():
@@ -200,6 +201,13 @@ def test_p_value_degenerate_is_one():
     stat = GStatistic(value=0.0, argmax_j=1, degenerate=True)
     assert p_value(29, stat) == 1.0
     assert p_value(29, stat, "approx") == 1.0
+
+
+@pytest.mark.parametrize("convention", ["exact", "approx"])
+@pytest.mark.parametrize("x", [0.5, 1.0])
+def test_p_value_at_q1_is_one(x, convention):
+    # g is identically 1 at q = 1, so P(g >= x) = 1 for every x <= 1.
+    assert p_value(1, x, convention) == 1.0
 
 
 def test_p_value_conventions():

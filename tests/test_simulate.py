@@ -618,13 +618,26 @@ def test_scenario_file_bad_value_names_line_and_key(tmp_path):
         read_scenario(path)
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_scenario_file_seed_out_of_range_names_line(tmp_path, seed):
-    # A file's seed is checked even where the CLI's --seed replaces it, like
-    # every other key of the file.
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [
+        pytest.param("seed", "-1", "seed must be >= 0", id="-1"),
+        pytest.param("seed", str(2**64), "seed must be >= 0", id=str(2**64)),
+        pytest.param("n", "0", "n must be >= 1", id="n=0"),
+        pytest.param("d", "2", "d too small", id="d=2"),
+        pytest.param("r", "1", "r must be >= 2", id="r=1"),
+        pytest.param("length", "121", "length must be >= 1 and <= 120", id="length=121"),
+        pytest.param("replications", "0", "replications must be >= 1", id="replications=0"),
+    ],
+)
+def test_scenario_file_seed_out_of_range_names_line(tmp_path, key, value, rule):
+    # Every integer of a file is checked at its line, by the rule ScenarioSpec
+    # applies, even a seed that the CLI's --seed replaces.
+    kind = {"r": "sine", "length": "pi_digits"}.get(key, "random_iid")
+    rest = [f"{k} = {v}" for k, v in (("n", 60), ("d", 6)) if k != key]
     path = tmp_path / "scenario.txt"
-    path.write_text(f"kind = constant\np1 = 0.5\nseed = {seed}\nn = 60\nd = 6\n")
-    with pytest.raises(ValueError, match=f"line 3: cannot read seed = '{seed}'"):
+    path.write_text("\n".join([f"kind = {kind}", "# integers", f"{key} = {value}", *rest]) + "\n")
+    with pytest.raises(ValueError, match=f"line 3: cannot read {key} = '{value}': {rule}"):
         read_scenario(path)
 
 
