@@ -36,44 +36,60 @@ PI_DIGITS = (
     "592307816406286208998628034825342117067982148086513282306647"
 )
 
-# Each kind's parameters, in label order.
-_PARAMS = {
-    "CONSTANT": ("p1",),
-    "ARITH_STEP": ("r", "step", "mean"),
-    "ENDPOINTS": ("r", "p_lo", "p_hi"),
-    "SINE": ("r",),
-    "PI_DIGITS": ("length",),
-    "RANDOM_IID": (),
+# Each kind's parameters, in label order, and its profile as a formula of the
+# spec; RANDOM_IID redraws its probabilities per replication and has none.
+_KINDS = {
+    "CONSTANT": (("p1",), lambda s: np.array([s.p1], dtype=float)),
+    "ARITH_STEP": (
+        ("r", "step", "mean"),
+        lambda s: s.mean + s.step * (np.arange(1, s.r + 1) - (s.r + 1) / 2.0),
+    ),
+    "ENDPOINTS": (
+        ("r", "p_lo", "p_hi"),
+        lambda s: s.p_lo + (s.p_hi - s.p_lo) * np.arange(s.r) / (s.r - 1),
+    ),
+    "SINE": (("r",), lambda s: 0.4 * np.sin(4.0 * np.pi * np.arange(s.r) / (s.r - 1)) + 0.5),
+    "PI_DIGITS": (("length",), lambda s: np.array([int(c) / 10.0 for c in PI_DIGITS[: s.length]])),
+    "RANDOM_IID": ((), None),
 }
-KINDS = tuple(_PARAMS)
+KINDS = tuple(_KINDS)
 
-# Ranges of the integer fields besides d, which ScenarioSpec stores as Python
-# ints; label() prints every other parameter with :g.
-_INT_RANGES = {"n": (1,), "replications": (1,), "seed": (0, _UINT64_MAX),
-               "r": (2,), "length": (1, len(PI_DIGITS))}
-_FLOAT_KEYS = ("alpha", "p1", "step", "mean", "p_lo", "p_hi")
+# Each field's type and range (None: unbounded), applied by _check: d's one
+# check is spectral._fold_length, and alpha's range is open. ScenarioSpec stores
+# the integers as Python ints; label() prints the floats with :g.
+_RULES = {
+    "n": (int, 1, None), "replications": (int, 1, None), "seed": (int, 0, _UINT64_MAX),
+    "r": (int, 2, None), "length": (int, 1, len(PI_DIGITS)), "d": (int, None, None),
+    "alpha": (float, 0.0, 1.0), "step": (float, None, None), "p1": (float, 0.0, 1.0),
+    "mean": (float, 0.0, 1.0), "p_lo": (float, 0.0, 1.0), "p_hi": (float, 0.0, 1.0),
+}
 
 
-def _read_value(key: str, text: str):
-    """Read a scenario-file value by the rule ScenarioSpec applies to its key."""
-    if key == "kind":
-        return text.upper()
-    if key in _FLOAT_KEYS:
-        return float(text)
-    value = int(text)
-    return _fold_length(value) if key == "d" else _as_int(key, value, *_INT_RANGES[key])
+def _check(name: str, value):
+    """Return a field's value by its rule in ``_RULES``, or raise a ValueError."""
+    if name == "d":
+        return _fold_length(value)
+    type_, lo, hi = _RULES[name]
+    if type_ is int:
+        return _as_int(name, value, lo, hi)
+    if name == "alpha" and not lo < value < hi:
+        raise ValueError("invalid level")
+    if lo is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo:g},{hi:g}]")
+    return value
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One simulation scenario: profile construction plus run parameters.
 
-    Kind-specific fields: CONSTANT uses ``p1``; ARITH_STEP uses ``r``,
-    ``step`` and ``mean`` (probabilities in arithmetic progression with the
-    given mean); ENDPOINTS uses ``r``, ``p_lo``, ``p_hi`` (linear
-    interpolation); SINE uses ``r`` (two full sine periods sampled on an
-    inclusive equidistant grid); PI_DIGITS uses ``length`` (p_i = digit_i/10);
-    RANDOM_IID redraws all n probabilities uniformly each replication.
+    Kind-specific fields (each kind's list and profile formula are in
+    ``_KINDS``): CONSTANT uses ``p1``; ARITH_STEP uses ``r``, ``step`` and
+    ``mean`` (probabilities in arithmetic progression with the given mean);
+    ENDPOINTS uses ``r``, ``p_lo``, ``p_hi`` (linear interpolation); SINE
+    uses ``r`` (two full sine periods sampled on an inclusive equidistant
+    grid); PI_DIGITS uses ``length`` (p_i = digit_i/10); RANDOM_IID redraws
+    all n probabilities uniformly each replication.
     """
 
     kind: str
@@ -93,34 +109,30 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        for name in ("n", "replications", "seed", *_PARAMS[self.kind]):
+        for name in ("n", "replications", "seed", *_KINDS[self.kind][0]):
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"{self.kind} needs {name}")
-            if name in _INT_RANGES:
-                object.__setattr__(self, name, _as_int(name, value, *_INT_RANGES[name]))
-            elif name != "step" and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{self.kind} needs {name} in [0,1]")
-        object.__setattr__(self, "d", _fold_length(self.d))
+            object.__setattr__(self, name, _check(name, value))
+        object.__setattr__(self, "d", _check("d", self.d))
         if self.n < self.d:
             raise ValueError("series shorter than d")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("invalid level")
+        _check("alpha", self.alpha)
 
     def profile_period(self) -> int:
         """Length of the repeating profile: the kind's first parameter if it is
         an integer (r, length), else 1 (CONSTANT); 0 for RANDOM_IID."""
-        params = _PARAMS[self.kind]
+        params = _KINDS[self.kind][0]
         if not params:
             return 0
-        return getattr(self, params[0]) if params[0] in _INT_RANGES else 1
+        return getattr(self, params[0]) if _RULES[params[0]][0] is int else 1
 
     def label(self) -> str:
         """Short comma-free scenario tag used in the CSV scenario column."""
         cells = " ".join(
-            f"{name}={getattr(self, name)}" if name in _INT_RANGES
+            f"{name}={getattr(self, name)}" if _RULES[name][0] is int
             else f"{name}={getattr(self, name):g}"
-            for name in _PARAMS[self.kind]
+            for name in _KINDS[self.kind][0]
         )
         return f"{self.kind}[{cells}]" if cells else self.kind
 
@@ -131,22 +143,10 @@ def build_profile(spec: ScenarioSpec) -> PeriodicProfile:
     RANDOM_IID has no fixed profile (probabilities are redrawn inside each
     replication) and is rejected here.
     """
-    kind = spec.kind
-    if kind == "CONSTANT":
-        p = np.array([spec.p1], dtype=float)
-    elif kind == "ARITH_STEP":
-        idx = np.arange(1, spec.r + 1, dtype=float)
-        p = spec.mean + spec.step * (idx - (spec.r + 1) / 2.0)
-    elif kind == "ENDPOINTS":
-        p = spec.p_lo + (spec.p_hi - spec.p_lo) * np.arange(spec.r) / (spec.r - 1)
-    elif kind == "SINE":
-        grid = 4.0 * np.pi * np.arange(spec.r) / (spec.r - 1)
-        p = 0.4 * np.sin(grid) + 0.5
-    elif kind == "PI_DIGITS":
-        p = np.array([int(c) for c in PI_DIGITS[: spec.length]], dtype=float) / 10.0
-    else:
+    formula = _KINDS[spec.kind][1]
+    if formula is None:
         raise ValueError("RANDOM_IID redraws probabilities per replication")
-    return PeriodicProfile(p)
+    return PeriodicProfile(formula(spec))
 
 
 def simulate_series(profile: PeriodicProfile, n: int, rng: np.random.Generator) -> BinarySeries:
@@ -282,7 +282,16 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     )
 
 
-TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "PI")
+# Each shipped table's cells, merged into n = 1200, d = 60, alpha = 0.05.
+_TABLES = {
+    "T1": [dict(kind="CONSTANT", p1=k / 10.0) for k in range(1, 10)],
+    "T2": [dict(kind="ARITH_STEP", r=r, step=0.01) for r in range(2, 31)],
+    "T3": [dict(kind="ARITH_STEP", r=r, step=0.02) for r in range(2, 31)],
+    "T4": [dict(kind="ENDPOINTS", r=r, p_lo=0.4, p_hi=0.6) for r in range(2, 31)],
+    "T5": [dict(kind="SINE", r=r) for r in range(2, 11)],
+    "PI": [dict(kind="PI_DIGITS", length=120, n=120, d=12)],
+}
+TABLE_IDS = tuple(_TABLES)
 
 
 def table_specs(table_id: str, replications: int = 20000, seed: int = 0) -> list[ScenarioSpec]:
@@ -294,31 +303,10 @@ def table_specs(table_id: str, replications: int = 20000, seed: int = 0) -> list
     r = 2..10; PI runs the pi-digit scenario at n = 120, d = 12. All cells of
     a table share the seed, so cross-table comparisons are matched.
     """
+    if table_id not in TABLE_IDS:
+        raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
     common = dict(n=1200, d=60, alpha=0.05, replications=replications, seed=seed)
-    if table_id == "T1":
-        return [
-            ScenarioSpec(kind="CONSTANT", p1=k / 10.0, **common) for k in range(1, 10)
-        ]
-    if table_id == "T2":
-        return [
-            ScenarioSpec(kind="ARITH_STEP", r=r, step=0.01, **common)
-            for r in range(2, 31)
-        ]
-    if table_id == "T3":
-        return [
-            ScenarioSpec(kind="ARITH_STEP", r=r, step=0.02, **common)
-            for r in range(2, 31)
-        ]
-    if table_id == "T4":
-        return [
-            ScenarioSpec(kind="ENDPOINTS", r=r, p_lo=0.4, p_hi=0.6, **common)
-            for r in range(2, 31)
-        ]
-    if table_id == "T5":
-        return [ScenarioSpec(kind="SINE", r=r, **common) for r in range(2, 11)]
-    if table_id == "PI":
-        return [ScenarioSpec(kind="PI_DIGITS", length=120, **dict(common, n=120, d=12))]
-    raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
+    return [ScenarioSpec(**{**common, **cell}) for cell in _TABLES[table_id]]
 
 
 def iter_table(table_id: str, replications: int = 20000, seed: int = 0):
@@ -345,23 +333,23 @@ def read_scenario(path) -> ScenarioSpec:
             sep = "=" if "=" in line else ":"
             if sep not in line:
                 raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition(sep)
+            key, _, text = line.partition(sep)
             key = key.strip().lower()
-            value = value.strip()
-            if key not in ("kind", "d", *_INT_RANGES, *_FLOAT_KEYS):
+            text = text.strip()
+            if key != "kind" and key not in _RULES:
                 raise ValueError(f"line {lineno}: unknown scenario key {key!r}")
             if key in fields:
                 raise ValueError(f"line {lineno}: repeated scenario key {key!r}")
             try:
-                fields[key] = _read_value(key, value)
+                fields[key] = text.upper() if key == "kind" else _check(key, _RULES[key][0](text))
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: cannot read {key} = {value!r}: {exc}") from None
+                raise ValueError(f"line {lineno}: cannot read {key} = {text!r}: {exc}") from None
             lines[key] = lineno
     for required in ("kind", "n", "d"):
         if required not in fields:
             raise ValueError(f"scenario file is missing {required!r}")
     spec = ScenarioSpec(**fields)
     for key, lineno in lines.items():
-        if key not in _PARAMS[spec.kind] and any(key in params for params in _PARAMS.values()):
+        if key not in _KINDS[spec.kind][0] and any(key in params for params, _ in _KINDS.values()):
             raise ValueError(f"line {lineno}: {spec.kind} has no parameter {key!r}")
     return spec

@@ -233,6 +233,14 @@ def test_d_below_three_is_a_clean_error(capsys, tmp_path, d):
     assert err.count("error:") == 1 and "d too small (q would be 0)" in err
 
 
+@pytest.mark.parametrize("command, value", [("pvalue", "0.5"), ("critval", "0.05")])
+def test_q_beyond_the_float_range_is_a_clean_error(capsys, command, value):
+    code, out, err = run_cli(capsys, command, "1" + "0" * 400, value)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+
+
 def test_bad_token_is_a_clean_error(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 2\n")

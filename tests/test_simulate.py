@@ -16,6 +16,7 @@ from binperiod.series import BinarySeries, fold
 from binperiod.simulate import (
     KINDS,
     PI_DIGITS,
+    TABLE_IDS,
     ScenarioSpec,
     build_profile,
     estimate_power,
@@ -73,6 +74,50 @@ def test_pi_profile_contains_zero_digits():
         profile = build_profile(spec)
     assert profile.p.min() == 0.0
     assert profile.r == 120
+
+
+def former_profiles(r):
+    """Each fixed kind's profile as build_profile computed it when it was an
+    if-chain, written out as the oracle: (ScenarioSpec fields, profile)."""
+    idx = np.arange(1, r + 1, dtype=float)
+    grid = 4.0 * np.pi * np.arange(r) / (r - 1)
+
+    def arith(step, mean):
+        return mean + step * (idx - (r + 1) / 2.0)
+
+    def ends(p_lo, p_hi):
+        return p_lo + (p_hi - p_lo) * np.arange(r) / (r - 1)
+
+    def pi(length):
+        return np.array([int(c) for c in PI_DIGITS[:length]], dtype=float) / 10.0
+
+    return [
+        (dict(kind="CONSTANT", p1=1.0 / r), np.array([1.0 / r], dtype=float)),
+        (dict(kind="ARITH_STEP", r=r, step=0.01), arith(0.01, 0.5)),
+        (dict(kind="ARITH_STEP", r=r, step=0.013, mean=0.47), arith(0.013, 0.47)),
+        (dict(kind="ENDPOINTS", r=r, p_lo=0.4, p_hi=0.6), ends(0.4, 0.6)),
+        (dict(kind="ENDPOINTS", r=r, p_lo=0.0, p_hi=1.0), ends(0.0, 1.0)),
+        (dict(kind="ENDPOINTS", r=r, p_lo=0.13, p_hi=0.87), ends(0.13, 0.87)),
+        (dict(kind="SINE", r=r), 0.4 * np.sin(grid) + 0.5),
+        (dict(kind="PI_DIGITS", length=6), pi(6)),
+        (dict(kind="PI_DIGITS", length=120), pi(120)),
+    ]
+
+
+@pytest.mark.parametrize("r", [2, 3, 7, 30])
+def test_profiles_keep_their_bits(r):
+    cases = former_profiles(r)
+    assert {cell["kind"] for cell, _ in cases} == set(KINDS) - {"RANDOM_IID"}
+    for cell, expected in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            p = build_profile(ScenarioSpec(n=120, d=6, **cell)).p
+        assert np.array_equal(p, expected), cell
+
+
+def test_table_ids_are_pinned():
+    # The CLI's table choices, in this order.
+    assert TABLE_IDS == ("T1", "T2", "T3", "T4", "T5", "PI")
 
 
 def test_random_iid_has_no_fixed_profile():
@@ -628,12 +673,17 @@ def test_scenario_file_bad_value_names_line_and_key(tmp_path):
         pytest.param("r", "1", "r must be >= 2", id="r=1"),
         pytest.param("length", "121", "length must be >= 1 and <= 120", id="length=121"),
         pytest.param("replications", "0", "replications must be >= 1", id="replications=0"),
+        pytest.param("p1", "1.5", r"p1 must be in \[0,1\]", id="p1=1.5"),
+        pytest.param("alpha", "0", "invalid level", id="alpha=0"),
+        pytest.param("p_lo", "-0.1", r"p_lo must be in \[0,1\]", id="p_lo=-0.1"),
+        pytest.param("mean", "2", r"mean must be in \[0,1\]", id="mean=2"),
     ],
 )
 def test_scenario_file_seed_out_of_range_names_line(tmp_path, key, value, rule):
-    # Every integer of a file is checked at its line, by the rule ScenarioSpec
+    # Every value of a file is checked at its line, by the rule ScenarioSpec
     # applies, even a seed that the CLI's --seed replaces.
-    kind = {"r": "sine", "length": "pi_digits"}.get(key, "random_iid")
+    kinds = {"r": "sine", "length": "pi_digits", "p1": "constant", "p_lo": "endpoints"}
+    kind = {**kinds, "mean": "arith_step"}.get(key, "random_iid")
     rest = [f"{k} = {v}" for k, v in (("n", 60), ("d", 6)) if k != key]
     path = tmp_path / "scenario.txt"
     path.write_text("\n".join([f"kind = {kind}", "# integers", f"{key} = {value}", *rest]) + "\n")
