@@ -682,11 +682,12 @@ def test_scenario_file_bad_value_names_line_and_key(tmp_path):
 def test_scenario_file_seed_out_of_range_names_line(tmp_path, key, value, rule):
     # Every value of a file is checked at its line, by the rule ScenarioSpec
     # applies, even a seed that the CLI's --seed replaces.
-    kinds = {"r": "sine", "length": "pi_digits", "p1": "constant", "p_lo": "endpoints"}
-    kind = {**kinds, "mean": "arith_step"}.get(key, "random_iid")
+    kinds = {"r": "sine", "length": "pi_digits", "p1": "constant", "p_lo": "endpoints",
+             "mean": "arith_step"}
+    kind = kinds.get(key, "random_iid")
     rest = [f"{k} = {v}" for k, v in (("n", 60), ("d", 6)) if k != key]
     path = tmp_path / "scenario.txt"
-    path.write_text("\n".join([f"kind = {kind}", "# integers", f"{key} = {value}", *rest]) + "\n")
+    path.write_text("\n".join([f"kind = {kind}", "# values", f"{key} = {value}", *rest]) + "\n")
     with pytest.raises(ValueError, match=f"line 3: cannot read {key} = '{value}': {rule}"):
         read_scenario(path)
 
