@@ -136,15 +136,8 @@ def _cmd_pvalue(args) -> int:
     return 0
 
 
-def _read_profile(path) -> PeriodicProfile:
-    values = _read_tokens(path, float, "not a number")
-    if not values:
-        raise ValueError("empty profile")
-    return PeriodicProfile(np.array(values))
-
-
 def _cmd_theory(args) -> int:
-    profile = _read_profile(args.file)
+    profile = PeriodicProfile(np.array(_read_tokens(args.file, float, "not a number")))
     summary = detectability(profile, args.d)
     ds = summary.detect_sum
     record = {
@@ -158,15 +151,13 @@ def _cmd_theory(args) -> int:
         "limit_g": summary.limit_g,
         "regime": summary.regime.value,
     }
-    cells = {key: _cell(key, value, args) for key, value in record.items()}
     rows = ({"i": i + 1, "e": e, "v": v} for i, (e, v) in enumerate(zip(summary.e, summary.v)))
     if args.csv:
-        print("field,value")
-        for key, cell in cells.items():
-            print(f"{key},{cell}")
+        _print_records(({"field": key, "value": value} for key, value in record.items()), "", args)
         print()
         _print_records(rows, "", args)
         return 0
+    cells = {key: _cell(key, value, args) for key, value in record.items()}
     print("profile: r={r}   fold: d={d}   b=gcd(r,d)={b}".format(**cells))
     print(f"{'i':>4} {'e_i':>12} {'v_i':>12}")
     _print_records(rows, "{i:>4} {e:>12} {v:>12}", args)

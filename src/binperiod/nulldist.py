@@ -5,14 +5,15 @@ the survival function of the ratio statistic has Fisher's (1929) closed form
 
     P(g >= x) = sum_{j=1..q} (-1)^{j+1} C(q, j) (1 - j x)_+^{q-1},
 
-supported on [1/q, 1]. Both tails take its edges in one order: x q <= 1 gives
-1, then x >= 1 gives 0, so at q = 1, where g is identically 1, x = 1 gives 1.
+supported on [1/q, 1]; q is an integer in [1, 2^53], all exact floats, so x q
+and 1/q cannot overflow. Both tails take the edges in one order: x q <= 1
+gives 1, then x >= 1 gives 0, so at q = 1 (g is identically 1) x = 1 gives 1.
 Critical values solve P(g >= k) = alpha; the classical practical shortcut
 keeps only the j = 1 summand and solves q (1 - x)^{q-1} = alpha in closed
 form. Both routes are exposed because the alternating sum and its one-term
 approximation differ visibly in the fourth decimal at conventional levels.
-The alternating sum has one float path for every q, with no cap, certified
-by a bound on its own rounding; where the bound fails, ``decimal`` takes it.
+The alternating sum has one float path for every q, certified by a bound on
+its own rounding; where the bound fails, ``decimal`` takes it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,19 @@ BISECTION_TOL = 1e-10
 
 # Limit-law draws per key of the sampler's stream.
 _GROUP = 256
+_MAX_Q = 2**53
+
+
+def _support(q, x) -> tuple[int, float, float | None]:
+    """Read ``q`` and ``x`` by the module's rules and return them with the
+    tail at the support's edges, or None inside the support."""
+    q = _as_int("q", q, 1, _MAX_Q)
+    x = float(x)
+    if math.isnan(x):  # fails every comparison, so it would pass as inside
+        raise ValueError("statistic is NaN")
+    if x * q <= 1.0:
+        return q, x, 1.0
+    return q, x, 0.0 if x >= 1.0 else None
 
 
 def tail(q: int, x: float) -> float:
@@ -51,17 +65,14 @@ def tail(q: int, x: float) -> float:
     the sum is taken in ``decimal`` with 30 digits beyond the size of its terms.
     Both tails reject a NaN ``x`` with ValueError; x = +-inf give 0 and 1.
     """
-    q = _as_int("q", q, 1)
-    x = float(x)
-    if math.isnan(x):  # fails every comparison; the clamps would give 0 or 1
-        raise ValueError("statistic is NaN")
-    if x * q <= 1.0 or (x * q < 2.0 and (x * q - 1.0) ** (q - 1) < 2.0**-55):
+    q, x, edge = _support(q, x)
+    if edge is not None:
+        return edge
+    if x * q < 2.0 and (x * q - 1.0) ** (q - 1) < 2.0**-55:
         # g is the largest coordinate of a uniform point on the simplex; points
         # with all coordinates below x map into it by u -> (x - u) / (qx - 1),
         # so P(g < x) <= (qx - 1)^(q-1); below 2^-55 the tail rounds to 1.0.
         return 1.0
-    if x >= 1.0:
-        return 0.0
     power, terms, size, comb = q - 1, [], 0.0, 1
     try:
         for j in range(1, q + 1):
@@ -98,15 +109,8 @@ def tail(q: int, x: float) -> float:
 
 def tail_approx(q: int, x: float) -> float:
     """One-term (j = 1) approximation q (1 - x)^{q-1}, clamped to [0, 1]."""
-    q = _as_int("q", q, 1)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("statistic is NaN")
-    if x * q <= 1.0:
-        return 1.0
-    if x >= 1.0:
-        return 0.0
-    return min(1.0, q * (1.0 - x) ** (q - 1))
+    q, x, edge = _support(q, x)
+    return min(1.0, q * (1.0 - x) ** (q - 1)) if edge is None else edge
 
 
 def p_value(q: int, g, convention: str = "exact") -> float:
@@ -157,7 +161,7 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     ``approx`` is the closed form 1 - (alpha/q)^{1/(q-1)} for q >= 2. At
     q = 1 the bracket is empty and both are 1, by the module's edge rule.
     """
-    q = _as_int("q", q, 1)
+    q = _as_int("q", q, 1, _MAX_Q)
     approx = _approx_critical_value(q, alpha)
     lo, hi = 1.0 / q, 1.0
     while hi - lo > BISECTION_TOL:

@@ -87,10 +87,8 @@ def fold(series: BinarySeries, d: int) -> FoldedSeries:
         Target length of the folded series; must be >= 3 so at least one
         Fourier frequency survives, and must not exceed n.
     """
-    d = _fold_length(d)
     n = series.n
-    if n < d:
-        raise ValueError("series shorter than d")
+    d = _fold_length(d, n)
     blocks = n // d
     counts = series.values[: blocks * d].reshape(blocks, d).sum(axis=0, dtype=np.int64)
     return FoldedSeries(z=counts / blocks, d=d, blocks=blocks, n=n)

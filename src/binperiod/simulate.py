@@ -36,14 +36,17 @@ PI_DIGITS = (
     "592307816406286208998628034825342117067982148086513282306647"
 )
 
+
+def _arith_step(s, i):
+    """ARITH_STEP's p_i, monotone in i: its extremes are p_1 and p_r."""
+    return s.mean + s.step * (i - (s.r + 1) / 2.0)
+
+
 # Each kind's parameters, in label order, and its profile as a formula of the
 # spec; RANDOM_IID redraws its probabilities per replication and has none.
 _KINDS = {
     "CONSTANT": (("p1",), lambda s: np.array([s.p1], dtype=float)),
-    "ARITH_STEP": (
-        ("r", "step", "mean"),
-        lambda s: s.mean + s.step * (np.arange(1, s.r + 1) - (s.r + 1) / 2.0),
-    ),
+    "ARITH_STEP": (("r", "step", "mean"), lambda s: _arith_step(s, np.arange(1, s.r + 1))),
     "ENDPOINTS": (
         ("r", "p_lo", "p_hi"),
         lambda s: s.p_lo + (s.p_hi - s.p_lo) * np.arange(s.r) / (s.r - 1),
@@ -114,10 +117,11 @@ class ScenarioSpec:
             if value is None:
                 raise ValueError(f"{self.kind} needs {name}")
             object.__setattr__(self, name, _check(name, value))
-        object.__setattr__(self, "d", _check("d", self.d))
-        if self.n < self.d:
-            raise ValueError("series shorter than d")
+        object.__setattr__(self, "d", _fold_length(self.d, self.n))
         _check("alpha", self.alpha)
+        ends = (1, self.r) if self.kind == "ARITH_STEP" else ()
+        if not all(0.0 <= _arith_step(self, i) <= 1.0 for i in ends):
+            raise ValueError(f"{self.label()} has a probability outside [0,1]")
 
     def profile_period(self) -> int:
         """Length of the repeating profile: the kind's first parameter if it is

@@ -39,12 +39,15 @@ __all__ = [
 A_REL_TOL = 1e-12
 
 
-def _fold_length(d) -> int:
+def _fold_length(d, n=None) -> int:
     """Return the fold length ``d`` as a Python int: the one check of d, an
-    integer (read by ``_as_int``) of at least 3, so that q >= 1."""
+    integer (read by ``_as_int``) of at least 3, so that q >= 1, and at most
+    the series length ``n`` when one is given."""
     d = _as_int("d", d)
     if d < 3:
         raise ValueError("d too small (q would be 0)")
+    if n is not None and n < d:
+        raise ValueError("series shorter than d")
     return d
 
 

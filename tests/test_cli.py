@@ -171,6 +171,24 @@ def test_theory_bad_profile_token_names_line_and_position(capsys, tmp_path):
     assert err == "error: not a number at position 4 (line 3: 'abc')\n"
 
 
+def test_theory_comment_only_profile_is_a_clean_error(capsys, tmp_path):
+    path = tmp_path / "profile.txt"
+    path.write_text("# no values\n")
+    code, out, err = run_cli(capsys, "theory", str(path), "--d", "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: profile must be a non-empty vector\n"
+
+
+def test_arith_step_scenario_out_of_range_is_a_clean_error(capsys, tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text("kind = arith_step\nr = 30\nstep = 0.1\nn = 1200\nd = 60\n")
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: ARITH_STEP[r=30 step=0.1 mean=0.5] has a probability outside [0,1]\n"
+
+
 def test_theory_command_csv(capsys, tmp_path):
     path = tmp_path / "profile.txt"
     path.write_text("0.2, 0.6\n")
@@ -239,6 +257,7 @@ def test_q_beyond_the_float_range_is_a_clean_error(capsys, command, value):
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert "q must be >= 1 and <= 9007199254740992" in err
 
 
 def test_bad_token_is_a_clean_error(capsys, tmp_path):

@@ -129,6 +129,16 @@ def test_invalid_q():
         critical_value(0, 0.05)
 
 
+def test_q_is_at_most_two_to_the_53():
+    for f in (tail, tail_approx, p_value, critical_value):
+        with pytest.raises(ValueError, match=r"^q must be >= 1 and <= 9007199254740992$"):
+            f(2**53 + 1, 0.5)
+    t0 = time.perf_counter()
+    assert tail(2**53, 0.5) == 0.0
+    assert tail_approx(2**53, 0.5) == 0.0
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize("q", [5, 29, 179, 500, 1259])
 def test_numpy_integer_q_matches_python_int(q):
     # A numpy q once made the binomial coefficients wrap in int64.

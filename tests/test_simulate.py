@@ -127,9 +127,30 @@ def test_random_iid_has_no_fixed_profile():
 
 
 def test_profile_out_of_range_rejected():
-    spec = ScenarioSpec(kind="ARITH_STEP", r=30, step=0.04, n=60, d=6)
-    with pytest.raises(ValueError, match=r"outside \[0,1\]"):
-        build_profile(spec)
+    # ARITH_STEP is the one kind whose fields do not bound its profile: the
+    # spec itself refuses a profile that leaves [0,1], or a non-finite step.
+    for step in (0.04, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"ARITH_STEP\[.*\] has a probability outside \[0,1\]"):
+            ScenarioSpec(kind="ARITH_STEP", r=30, step=step, n=60, d=6)
+
+
+def test_arith_step_spec_agrees_with_its_profile():
+    # The spec reads only p_1 and p_r; the profile checks every p_i.
+    for r in (2, 3, 7, 30, 101):
+        for step in (0.0, 0.005, 0.01, 1.0 / (r - 1), 0.034, -0.02, 0.5, 1.0):
+            for mean in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+                fields = dict(kind="ARITH_STEP", r=r, step=step, mean=mean, n=120, d=6)
+                probs = mean + step * (np.arange(1, r + 1) - (r + 1) / 2.0)
+                in_range = bool(np.all((probs >= 0.0) & (probs <= 1.0)))
+                try:
+                    spec = ScenarioSpec(**fields)
+                except ValueError:
+                    assert not in_range, fields
+                    continue
+                assert in_range, fields
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    assert np.array_equal(build_profile(spec).p, probs)
 
 
 def test_spec_validation():
@@ -139,6 +160,8 @@ def test_spec_validation():
         ScenarioSpec(kind="CONSTANT", p1=0.5, n=60, d=2)
     with pytest.raises(ValueError, match="shorter than d"):
         ScenarioSpec(kind="CONSTANT", p1=0.5, n=5, d=6)
+    with pytest.raises(ValueError, match="d too small"):  # d's own rule comes first
+        ScenarioSpec(kind="CONSTANT", p1=0.5, n=1, d=2)
     with pytest.raises(ValueError, match="invalid level"):
         ScenarioSpec(kind="CONSTANT", p1=0.5, n=60, d=6, alpha=1.5)
     with pytest.raises(ValueError, match="needs p1"):
@@ -689,6 +712,13 @@ def test_scenario_file_seed_out_of_range_names_line(tmp_path, key, value, rule):
     path = tmp_path / "scenario.txt"
     path.write_text("\n".join([f"kind = {kind}", "# values", f"{key} = {value}", *rest]) + "\n")
     with pytest.raises(ValueError, match=f"line 3: cannot read {key} = '{value}': {rule}"):
+        read_scenario(path)
+
+
+def test_scenario_file_line_without_separator(tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text("kind = constant\np1 0.5\nn = 60\nd = 6\n")
+    with pytest.raises(ValueError, match="line 2: expected 'key = value', got 'p1 0.5'"):
         read_scenario(path)
 
 

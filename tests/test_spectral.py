@@ -41,6 +41,12 @@ def test_rejects_too_short_vectors():
             fisher_g_batch(empty)
 
 
+def test_rejects_arrays_of_three_dimensions():
+    for f in (fisher_g_batch, periodogram_batch):
+        with pytest.raises(ValueError, match="expected a vector or a matrix of row vectors"):
+            f(np.ones((2, 3, 5)))
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_row_is_rejected(bad):
     batch = np.ones((3, 5))
