@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .rng import _UINT64_MAX, _as_int, _run_shards, substream
+from .rng import _MAX_LENGTH, _UINT64_MAX, _as_int, _run_shards, substream
 from .spectral import GStatistic, _fold_length, fisher_g_batch
 
 __all__ = [
@@ -116,17 +116,12 @@ def tail_approx(q: int, x: float) -> float:
 def p_value(q: int, g, convention: str = "exact") -> float:
     """P-value of an observed statistic under the chosen convention.
 
-    ``g`` may be a :class:`GStatistic` or a bare statistic value. A degenerate
-    statistic (input in the vanishing set A) has p-value 1: the guarded
-    statistic is 0 there and never rejects. ``convention`` selects the exact
+    ``g`` may be a :class:`GStatistic` (its value is 0 on A, where both tails
+    are 1) or a bare statistic value. ``convention`` selects the exact
     alternating tail (``"exact"``) or the one-term shortcut (``"approx"``),
     the convention used for every simulated table in this package.
     """
-    if isinstance(g, GStatistic):
-        # Both tails are 1 at 0, and still check q and the convention.
-        x = 0.0 if g.degenerate else g.value
-    else:
-        x = float(g)
+    x = g.value if isinstance(g, GStatistic) else float(g)
     if convention == "exact":
         return tail(q, x)
     if convention == "approx":
@@ -212,7 +207,7 @@ def sample_limit_statistic(d: int, weights, count: int, seed: int = 0) -> np.nda
         raise ValueError(f"expected {d} weights, got shape {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("invalid weight")
-    count = _as_int("count", count, 1)
+    count = _as_int("count", count, 1, _MAX_LENGTH)
     seed = _as_int("seed", seed, 0, _UINT64_MAX)
     out = np.empty(count)
     _run_shards(partial(_draw_groups, seed, w, out), -(-count // _GROUP), count, d)

@@ -42,12 +42,14 @@ from __future__ import annotations
 
 import operator
 import os
+import sys
 
 import numpy as np
 
 __all__ = ["block_words", "replication_stream", "substream"]
 
 _UINT64_MAX = 2**64 - 1
+_MAX_LENGTH = sys.maxsize // 2  # n and sampler counts: 2n is index-sized
 
 # 8-byte values per batch of draws: about 1 MiB (109 rows at n = 1200). Whole
 # 1024-row batches raised the peak RSS of one n = 1200 cell from 37 to 48 MB

@@ -10,7 +10,7 @@ from time import perf_counter
 import numpy as np
 
 from .nulldist import _approx_critical_value
-from .rng import _UINT64_MAX, _as_int, _run_shards, block_words, replication_stream
+from .rng import _MAX_LENGTH, _UINT64_MAX, _as_int, _run_shards, block_words, replication_stream
 from .series import BinarySeries
 from .spectral import _fold_length, fisher_g_batch, num_frequencies
 from .theory import PeriodicProfile
@@ -58,10 +58,11 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 # Each field's type and range (None: unbounded), applied by _check: d's one
-# check is spectral._fold_length, and alpha's range is open. ScenarioSpec stores
-# the integers as Python ints; label() prints the floats with :g.
+# check is spectral._fold_length, and alpha's range is open. n keeps 2n-word
+# rows index-sized and replications keeps every replication index in 64 bits.
+# ScenarioSpec stores the integers as Python ints; label() prints floats with :g.
 _RULES = {
-    "n": (int, 1, None), "replications": (int, 1, None), "seed": (int, 0, _UINT64_MAX),
+    "n": (int, 1, _MAX_LENGTH), "replications": (int, 1, 2**64), "seed": (int, 0, _UINT64_MAX),
     "r": (int, 2, None), "length": (int, 1, len(PI_DIGITS)), "d": (int, None, None),
     "alpha": (float, 0.0, 1.0), "step": (float, None, None), "p1": (float, 0.0, 1.0),
     "mean": (float, 0.0, 1.0), "p_lo": (float, 0.0, 1.0), "p_hi": (float, 0.0, 1.0),

@@ -12,7 +12,9 @@ even d) j = d/2 are deliberately excluded. The ratio statistic
 
 is undefined on the degenerate set A of vectors whose periodogram vanishes
 at all q frequencies (the constants, plus constant-plus-alternating vectors
-when d is even); there the guarded statistic is defined to be 0.
+when d is even); there the guarded statistic is defined to be 0. Like g, the
+test for A is scale-free: ordinates summing to at most ``A_REL_TOL`` = 2^-80
+of the energy sum x^2 (entries whose squares underflow read as zero).
 Ordinates come from one real FFT per row, whose 0-based index adds only a
 unit phase: O(d log d) time and no cached state.
 """
@@ -34,9 +36,12 @@ __all__ = [
     "periodogram_batch",
 ]
 
-# Membership in A is decided relative to the input energy so that folded
-# series with rational entries classify robustly.
-A_REL_TOL = 1e-12
+# The one rule for "numerically zero". FFT rounding leaves exact members of A,
+# a + b(-1)^l, below 1.9e-31 of their energy (560 random (a, b) at scales
+# 1e-100..1e100, d = 3..10^5): a margin over 4e6. A detection sum above its
+# tolerance puts the ordinate at d/b above 1e-20 energy/d, so for d <= 12,000
+# theory's certificate implies "not in A". NULL_LIKE uses its square root.
+A_REL_TOL = 2.0**-80
 
 
 def _fold_length(d, n=None) -> int:
@@ -112,7 +117,6 @@ def fisher_g_batch(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``ValueError``.
     """
     arr = _as_matrix(x)
-    d = arr.shape[1]
     # energy is NaN or inf exactly where a row has a NaN or infinite entry or
     # its squares overflow, so the check reads one value per row.
     energy = np.einsum("ij,ij->i", arr, arr)
@@ -123,7 +127,7 @@ def fisher_g_batch(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     peak = ordinates.max(axis=1)
     near_peak = ordinates >= (peak * (1.0 - _TIE_REL_TOL))[:, None]
     argmax = near_peak.argmax(axis=1) + 1
-    degenerate = total <= A_REL_TOL * d * np.maximum(1.0, energy)
+    degenerate = total <= A_REL_TOL * energy
     # On A every ordinate is mathematically zero: all frequencies tie.
     argmax = np.where(degenerate, 1, argmax)
     values = np.where(degenerate, 0.0, peak / np.where(degenerate, 1.0, total))

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import _fold_length, fisher_g
+from .spectral import A_REL_TOL, _fold_length, fisher_g
 
 __all__ = [
     "AsymptoticSummary",
@@ -137,16 +137,14 @@ class AsymptoticSummary:
     @property
     def regime(self) -> PowerRegime:
         """Classify the limit: e outside A (CONSISTENT: the statistic
-        converges to limit_g), or e in A with constant variance limits
-        (NULL_LIKE: same limit law as under a constant profile), or e in A
-        with non-constant v (R2_LIMIT: a weighted-normal limit law without a
-        known closed form)."""
+        converges to limit_g), or e in A with variance limits equal to 2^-40
+        relative (NULL_LIKE: same limit law as under a constant profile), or
+        e in A with non-constant v (R2_LIMIT: a weighted-normal limit law
+        without a known closed form)."""
         if not self.e_in_A:
             return PowerRegime.CONSISTENT
-        spread = float(self.v.max() - self.v.min())
-        if spread <= 1e-12 * max(1.0, float(self.v.max())):
-            return PowerRegime.NULL_LIKE
-        return PowerRegime.R2_LIMIT
+        flat = self.v.max() - self.v.min() <= math.sqrt(A_REL_TOL) * self.v.max()
+        return PowerRegime.NULL_LIKE if flat else PowerRegime.R2_LIMIT
 
 
 def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from binperiod import cli, theory
+from binperiod import cli, simulate, theory
 from binperiod.cli import _build_parser, main, run_test
 from binperiod.nulldist import critical_value, p_value
 from binperiod.rng import substream
@@ -553,3 +553,52 @@ def test_theory_command_runs_detectability_once(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert "regime: CONSISTENT" in out
     assert len(calls) == 1
+
+
+def test_ten_million_observations_near_balance_are_not_degenerate():
+    # Fold counts 10^6 + (3, 1, -2, -2, 1) at d = 5: the block means differ
+    # by about 1e-6, so the fold's ordinates are about 1e-12 of its energy.
+    counts = 10**6 + np.array([3, 1, -2, -2, 1])
+    values = (np.arange(2 * 10**6)[:, None] < counts).astype(np.int8)
+    report = run_test(BinarySeries(values.ravel()), 5)
+    assert not report.degenerate
+    assert report.statistic == pytest.approx(0.9995471, abs=1e-7)
+    assert report.p_exact == pytest.approx(9.06e-4, rel=1e-3)
+    assert report.decision == report.decision_exact == "reject"
+
+
+@pytest.mark.parametrize("profile", ["0.5 0.5000001 0.5", "1e-8 2e-8 3e-8"])
+def test_theory_near_constant_and_tiny_profiles(capsys, tmp_path, profile):
+    path = tmp_path / "profile.txt"
+    path.write_text(profile + "\n")
+    code, out, err = run_cli(capsys, "theory", str(path), "--d", "6")
+    assert (code, err) == (0, "")
+    assert "limit_g = 1.0000\nregime: CONSISTENT\n" in out
+
+
+@pytest.mark.parametrize(
+    "lines, argv, key",
+    [
+        (["n = 1" + "0" * 400, "replications = 10"], (), "n"),
+        (["n = 60", "replications = 1" + "0" * 400], (), "replications"),
+        (["n = 60"], ("--reps", "1" + "0" * 400), "replications"),
+        (["n = 60"], ("--reps", str(2**64 + 1)), "replications"),
+    ],
+    ids=["file-n", "file-reps", "reps=10^400", "reps=2^64+1"],
+)
+def test_simulate_refuses_values_beyond_the_index_range(capsys, monkeypatch, tmp_path, lines, argv, key):
+    monkeypatch.setattr(cli, "estimate_power", lambda spec: pytest.fail("ran a refused scenario"))
+    path = tmp_path / "scenario.txt"
+    path.write_text("\n".join(["kind = constant", "p1 = 0.5", "d = 6", *lines]) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert f"{key} must be >= 1 and <= " in err
+
+
+@pytest.mark.parametrize("reps", ["1" + "0" * 400, str(2**64 + 1)], ids=["10^400", "2^64+1"])
+def test_table_refuses_replications_beyond_the_index_range(capsys, monkeypatch, reps):
+    monkeypatch.setattr(simulate, "estimate_power", lambda spec: pytest.fail("ran a refused cell"))
+    code, out, err = run_cli(capsys, "table", "T1", "--reps", reps)
+    assert (code, out) == (2, "")
+    assert err == "error: replications must be >= 1 and <= 18446744073709551616\n"

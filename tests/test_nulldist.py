@@ -566,3 +566,10 @@ def test_sampler_matches_tail_for_equal_weights():
         expected = tail(q, x)
         se = math.sqrt(expected * (1.0 - expected) / count)
         assert abs(float(np.mean(draws >= x)) - expected) <= 4.0 * se
+
+
+@pytest.mark.parametrize("count", [sys.maxsize // 2 + 1, 10**400], ids=["maxsize//2+1", "10^400"])
+def test_sampler_count_is_index_sized(monkeypatch, count):
+    monkeypatch.setattr(rng, "_cpu_count", lambda: pytest.fail("planned shards with a huge count"))
+    with pytest.raises(ValueError, match=f"count must be >= 1 and <= {sys.maxsize // 2}"):
+        sample_limit_statistic(60, np.ones(60), count)

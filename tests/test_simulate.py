@@ -779,3 +779,35 @@ def test_labels_are_csv_safe():
     for table in ("T1", "T2", "T4", "T5", "PI"):
         for spec in table_specs(table):
             assert "," not in spec.label()
+
+
+# Values past what the engine can index: n so large that 2n words overflow an
+# index, or a replication index past 64 bits. Only values above the bounds
+# are tried; an accepted huge n would build a profile of n/r references.
+_BEYOND_INDEX = [
+    pytest.param("n", sys.maxsize // 2 + 1, sys.maxsize // 2, id="n=maxsize//2+1"),
+    pytest.param("n", 10**400, sys.maxsize // 2, id="n=10^400"),
+    pytest.param("replications", 2**64 + 1, 2**64, id="reps=2^64+1"),
+    pytest.param("replications", 10**400, 2**64, id="reps=10^400"),
+]
+
+
+@pytest.mark.parametrize("key, value, bound", _BEYOND_INDEX)
+def test_spec_refuses_values_beyond_the_index_range(key, value, bound):
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1 and <= {bound}$"):
+        ScenarioSpec(kind="CONSTANT", p1=0.5, **{"n": 60, "d": 6, key: value})
+
+
+@pytest.mark.parametrize("key, value, bound", _BEYOND_INDEX)
+def test_scenario_file_value_beyond_the_index_range_names_line(tmp_path, key, value, bound):
+    rest = [f"{k} = {v}" for k, v in (("n", 60), ("d", 6)) if k != key]
+    path = tmp_path / "scenario.txt"
+    path.write_text("\n".join(["kind = constant", "p1 = 0.5", f"{key} = {value}", *rest]) + "\n")
+    message = f"line 3: cannot read {key} = '{value}': {key} must be >= 1 and <= {bound}"
+    with pytest.raises(ValueError, match=message):
+        read_scenario(path)
+
+
+def test_replication_stream_refuses_an_index_past_64_bits():
+    with pytest.raises(ValueError, match="index must be >= 0 and <= 18446744073709551615"):
+        replication_stream(0, 2**64, 1200)

@@ -271,3 +271,29 @@ def test_affine_recentering_invariance(x, a, b, c):
     after = fisher_g(c * (x - e))
     assert after.degenerate == before.degenerate
     assert abs(after.value - before.value) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0]),
+        np.random.default_rng(17).normal(size=60),
+        np.r_[np.full(1000, 0.45), 0.5],
+    ],
+    ids=["period-3", "normal-60", "one-step-1001"],
+)
+def test_statistic_does_not_depend_on_scale(x):
+    # The guard is relative to the energy with no floor, so g is scale-free
+    # from 1e-150 (squares near 1e-300) up to 1e150.
+    reference = fisher_g(x)
+    for k in range(-150, 151, 10):
+        stat = fisher_g(10.0**k * x)
+        assert not stat.degenerate, k
+        assert abs(stat.value - reference.value) <= 1e-12, k
+
+
+def test_member_of_A_is_degenerate_at_every_scale():
+    signs = np.where(np.arange(1, 11) % 2 == 0, 1.0, -1.0)
+    for x in (1.3 + 0.4 * signs, np.full(9, 0.4), -2.0 + 5.0 * signs):
+        for k in range(-150, 151, 10):
+            assert fisher_g(10.0**k * x).degenerate, (x[:2], k)

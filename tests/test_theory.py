@@ -256,3 +256,27 @@ def test_statistic_approaches_limit_g():
             total += abs(fisher_g(fold(series, d).z).value - limit_g)
         errors.append(total / 100)
     assert errors[1] < errors[0]
+
+
+def test_detectability_never_raises_on_near_constant_and_tiny_profiles():
+    # Near-constant and small-probability profiles: the detection sum and the
+    # degenerate guard must agree on every one (4,050 profiles, under a second).
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clipped profiles may touch 0 or 1
+        for r in range(3, 13):
+            for d in (6, 12, 24, 60, 120, 360, 840, 1001, 2520):
+                for k in range(-15, 0):
+                    for base in (0.5, 1e-6, 1e-9):
+                        p = np.clip(base * (1.0 + 10.0**k * rng.uniform(-1, 1, r)), 0, 1)
+                        summary = detectability(PeriodicProfile(p), d)
+                        assert (summary.limit_g is None) == summary.e_in_A, (r, d, k, base)
+
+
+def test_regimes_do_not_depend_on_scale():
+    for k in range(0, 101, 5):
+        s = 10.0**-k
+        assert detectability(PeriodicProfile([0.1 * s, 0.3 * s]), 6).regime is PowerRegime.R2_LIMIT
+        with pytest.warns(UserWarning, match="not minimal"):
+            profile = PeriodicProfile([0.3 * s, 0.3 * s])
+        assert detectability(profile, 6).regime is PowerRegime.NULL_LIKE, k
