@@ -13,7 +13,8 @@ keeps only the j = 1 summand and solves q (1 - x)^{q-1} = alpha in closed
 form. Both routes are exposed because the alternating sum and its one-term
 approximation differ visibly in the fourth decimal at conventional levels.
 The alternating sum has one float path for every q, certified by a bound on
-its own rounding; where the bound fails, ``decimal`` takes it.
+its own rounding; where the bound fails, ``decimal`` takes it up to its first
+negligible term. Where a bound on P(g < x) certifies 1.0, neither sum runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -57,35 +58,66 @@ def _support(q, x) -> tuple[int, float, float | None]:
     return q, x, 0.0 if x >= 1.0 else None
 
 
+@lru_cache(maxsize=16)
+def _binomials(q: int) -> tuple[float, ...]:
+    """float(C(q, j)) for j = 1, 2, ... up to q or the first one past the float
+    range, each rounded once from the exact integer (as ``C(q, j) * p`` rounds)."""
+    row, comb = [], 1
+    try:
+        for j in range(1, q + 1):
+            comb = comb * (q - j + 1) // j
+            row.append(float(comb))
+    except OverflowError:
+        pass
+    return tuple(row)
+
+
+def _decimal_terms(q: int, x: decimal.Decimal):
+    """The terms C(q, j) (1 - j x)^(q-1) for j = 1, 2, ... while 1 - j x > 0,
+    with exact binomials, in the current ``decimal`` context."""
+    comb = 1
+    for j in range(1, q + 1):
+        base = 1 - j * x
+        if base <= 0:
+            return
+        comb = comb * (q - j + 1) // j
+        yield comb * base ** (q - 1)
+
+
 def tail(q: int, x: float) -> float:
     """Exact survival probability P(g >= x) under the null, clamped to [0, 1].
 
     The float sum (``math.fsum``) is returned when a bound on its rounding,
     about q * eps times the sum of |terms|, is within 1e-10 of it; otherwise
-    the sum is taken in ``decimal`` with 30 digits beyond the size of its terms.
-    Both tails reject a NaN ``x`` with ValueError; x = +-inf give 0 and 1.
+    the sum is taken in ``decimal`` with 30 digits beyond the size of its terms,
+    up to the first term below 1e-30 of the sum before it. Both tails reject a
+    NaN ``x`` with ValueError; x = +-inf give 0 and 1.
     """
     q, x, edge = _support(q, x)
     if edge is not None:
         return edge
-    if x * q < 2.0 and (x * q - 1.0) ** (q - 1) < 2.0**-55:
-        # g is the largest coordinate of a uniform point on the simplex; points
-        # with all coordinates below x map into it by u -> (x - u) / (qx - 1),
-        # so P(g < x) <= (qx - 1)^(q-1); below 2^-55 the tail rounds to 1.0.
+    power = q - 1
+    # g is the largest coordinate of a uniform point on the simplex; points
+    # with all coordinates below x map into it by u -> (x - u) / (qx - 1), so
+    # P(g < x) <= (qx - 1)^(q-1). The q spacings are negatively associated
+    # (Joag-Dev & Proschan, 1983), so P(g < x) <= (1 - (1 - x)^(q-1))^q. Below
+    # 2^-55 the tail rounds to 1.0.
+    if (x * q < 2.0 and (x * q - 1.0) ** power < 2.0**-55) or q * math.log1p(
+        -math.exp(power * math.log1p(-x))
+    ) < -55 * math.log(2.0):
         return 1.0
-    power, terms, size, comb = q - 1, [], 0.0, 1
-    try:
-        for j in range(1, q + 1):
-            base = 1.0 - j * x
-            if base <= 0.0:
-                break
-            comb = comb * (q - j + 1) // j
-            p = base**power
-            term = comb * p  # OverflowError once C(q, j) > float max
-            size += term / base
-            terms.append(term if j % 2 else -term)
-    except OverflowError:
-        size = math.inf
+    combs, terms, size = _binomials(q), [], 0.0
+    for j in range(1, q + 1):
+        base = 1.0 - j * x
+        if base <= 0.0:
+            break
+        if j > len(combs):  # C(q, j) > float max
+            size = math.inf
+            break
+        p = base**power
+        term = combs[j - 1] * p
+        size += term / base
+        terms.append(term if j % 2 else -term)
     # Term j carries (q - 1) u / base_j from its base (1 - j x is off by one
     # rounding of 1) and four roundings u, fsum one more; 2^-52 = 2u doubles it.
     total = math.fsum(terms)
@@ -97,13 +129,11 @@ def tail(q: int, x: float) -> float:
     with decimal.localcontext() as ctx:
         # The terms sum to at most (1 + e^{-x (q-1)})^q, as 1 - y <= e^{-y}.
         ctx.prec = 30 + math.ceil(q * math.log10(1.0 + math.exp(-x * power)))
-        total, dx, comb = 0, decimal.Decimal(x), 1
-        for j in range(1, q + 1):
-            base = 1 - j * dx
-            if base <= 0:
+        total, cut = 0, decimal.Decimal("1e-30")
+        for j, term in enumerate(_decimal_terms(q, decimal.Decimal(x)), 1):
+            if term <= cut * abs(total):  # Bonferroni: the sum is within term of the tail
                 break
-            comb = comb * (q - j + 1) // j
-            total += (comb if j % 2 else -comb) * base**power
+            total += term if j % 2 else -term
     return min(1.0, max(0.0, float(total)))
 
 
@@ -151,15 +181,17 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     """Critical value k with P(g >= k) = alpha.
 
     ``exact`` inverts the alternating tail by bisection on [1/q, 1], where the
-    tail is continuous and strictly decreasing, to within ``BISECTION_TOL``
-    (the positive-part kinks make derivative-based root finding unreliable).
+    tail is continuous and strictly decreasing (the positive-part kinks make
+    derivative-based root finding unreliable), to a bracket width of
+    ``BISECTION_TOL * min(1, 10^4 / q)``: absolute up to q = 10^4, and beyond
+    it about 1e-7 of the root, which is near (ln q + ln 1/alpha) / q.
     ``approx`` is the closed form 1 - (alpha/q)^{1/(q-1)} for q >= 2. At
     q = 1 the bracket is empty and both are 1, by the module's edge rule.
     """
     q = _as_int("q", q, 1, _MAX_Q)
     approx = _approx_critical_value(q, alpha)
     lo, hi = 1.0 / q, 1.0
-    while hi - lo > BISECTION_TOL:
+    while hi - lo > BISECTION_TOL * min(1.0, 1e4 / q):
         mid = 0.5 * (lo + hi)
         if tail(q, mid) > alpha:
             lo = mid

@@ -1,4 +1,6 @@
+import decimal
 import math
+import random
 import subprocess
 import sys
 import tempfile
@@ -44,6 +46,75 @@ def tail_fraction(q: int, x: Fraction) -> Fraction:
         if den > j * m
     )
     return min(Fraction(1), max(Fraction(0), Fraction(total, den ** (q - 1))))
+
+
+def tail_reference(q: int, x: float) -> float:
+    """The exact tail with its binomials updated in big integers on every call
+    and its ``decimal`` sum taken over every term: the float path's bits and
+    the decimal path's digits that ``tail`` must keep."""
+    q, x, edge = nulldist._support(q, x)
+    if edge is not None:
+        return edge
+    if x * q < 2.0 and (x * q - 1.0) ** (q - 1) < 2.0**-55:
+        return 1.0
+    power, terms, size, comb = q - 1, [], 0.0, 1
+    try:
+        for j in range(1, q + 1):
+            base = 1.0 - j * x
+            if base <= 0.0:
+                break
+            comb = comb * (q - j + 1) // j
+            p = base**power
+            term = comb * p
+            size += term / base
+            terms.append(term if j % 2 else -term)
+    except OverflowError:
+        size = math.inf
+    total = math.fsum(terms)
+    bound = (q + 3) * 2**-52 * size
+    if p < 2.0**-1022:
+        bound += math.ldexp(1.0, min(q - 1074, 0))
+    if bound <= 1e-10 * total:
+        return min(1.0, total)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30 + math.ceil(q * math.log10(1.0 + math.exp(-x * power)))
+        total, dx, comb = 0, decimal.Decimal(x), 1
+        for j in range(1, q + 1):
+            base = 1 - j * dx
+            if base <= 0:
+                break
+            comb = comb * (q - j + 1) // j
+            total += (comb if j % 2 else -comb) * base**power
+    return min(1.0, max(0.0, float(total)))
+
+
+def critical_value_reference(q: int, alpha: float) -> float:
+    """The exact critical value by bisection over ``tail_reference`` to a
+    bracket width of BISECTION_TOL, the rule for every q <= 10^4."""
+    lo, hi = 1.0 / q, 1.0
+    while hi - lo > nulldist.BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if tail_reference(q, mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def tail_mpmath(q: int, x, mp):
+    """The alternating sum in mpmath at the working precision, up to the
+    first term below 10^-45 of the sum before it (by Bonferroni, the sum is
+    then within that term of the tail)."""
+    x, total = mp.mpf(x), mp.mpf(0)
+    for j in range(1, q + 1):
+        base = 1 - j * x
+        if base <= 0:
+            break
+        term = mp.binomial(q, j) * base ** (q - 1)
+        if term <= mp.mpf(10) ** -45 * abs(total):
+            break
+        total += term if j % 2 else -term
+    return total
 
 
 def assert_matches_oracle(q: int, x: Fraction) -> None:
@@ -112,6 +183,107 @@ def test_tail_beyond_q500_is_exact_without_warning():
             assert_matches_oracle(q, Fraction(1, 64))
         assert_matches_oracle(510, Fraction(0.05))
         assert_matches_oracle(1259, Fraction(0.0056))
+
+
+BITWISE_QS = (*range(1, 61), 100, 179, 419, 500, 1029, 1030, 1031, 1259, 2000)
+
+
+@pytest.mark.parametrize("q", BITWISE_QS)
+def test_tail_matches_big_integer_reference_bit_for_bit(q):
+    # Seeded log-uniform x on (1/q, 1), and the edge grid of
+    # test_tail_matches_rational_oracle up to 4/q. q = 1029..1031 straddle the
+    # first q whose binomial row leaves the float range.
+    rnd = random.Random(q)
+    xs = [math.exp(rnd.uniform(-math.log(q), 0.0)) for _ in range(25)]
+    scale = 2 ** (q.bit_length() + 4)
+    xs += [k / scale for k in range(scale // q + 1, 4 * scale // q + 1)]
+    assert [tail(q, x) for x in xs] == [tail_reference(q, x) for x in xs]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 14, 29, 60, 179, 419, 500, 1029, 1030, 1031, 1259, 2000])
+def test_critical_value_matches_big_integer_reference_bit_for_bit(q):
+    for alpha in (0.1, 0.05, 0.01, 0.001):
+        assert critical_value(q, alpha).exact == critical_value_reference(q, alpha), (q, alpha)
+
+
+@pytest.mark.parametrize("q", [10**6, 10**9, 2**53])
+@pytest.mark.parametrize("alpha", [0.05, 0.001])
+def test_critical_value_is_relative_at_large_q(q, alpha):
+    # The root is about (ln q + ln 1/alpha) / q, so an absolute 1e-10 bracket
+    # is 0.1 in units of 1/q at q = 10^9; the width is 1e-6 / q beyond 10^4.
+    crit = critical_value(q, alpha)
+    assert crit.exact <= crit.approx  # the one-term sum bounds the tail above
+    assert abs(tail(q, crit.exact) / alpha - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("q", [1031, 5000, 50000])
+def test_tail_matches_mpmath_at_large_q(q):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(80):
+        for qx in np.geomspace(1.01, 30.0, 40):
+            x = float(qx) / q
+            got = tail(q, x)
+            # P(g < x) <= (1 - (1 - x)^(q-1))^q; below 2^-55 the tail rounds to 1.0.
+            if (1 - (1 - mp.mpf(x)) ** (q - 1)) ** q < mp.mpf(2) ** -55:
+                assert got == 1.0, (q, qx)
+            else:
+                expected = float(tail_mpmath(q, x, mp))
+                assert got == pytest.approx(expected, rel=1e-9, abs=1e-300), (q, qx)
+
+
+@pytest.mark.parametrize("q", [1031, 5000, 50000])
+def test_critical_value_matches_mpmath_inversion(q):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    width = nulldist.BISECTION_TOL * min(1.0, 1e4 / q)
+    with mp.workdps(40):
+        for alpha in (0.05, 0.001):
+            crit = critical_value(q, alpha)
+            # The one-term value bounds the root above (Bonferroni).
+            root = mp.findroot(
+                lambda x: tail_mpmath(q, x, mp) - alpha,
+                (mp.mpf(crit.approx) * 0.9, mp.mpf(crit.approx)),
+                solver="anderson",
+            )
+            assert abs(crit.exact - float(root)) <= width, (q, alpha)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 14, 29, 60, 179, 500])
+def test_negative_association_bound_holds(q):
+    # The bound that certifies tail = 1.0, against the exact P(g < x).
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    scale = 2 ** (q.bit_length() + 5)
+    lo, hi = math.ceil(1.05 * scale / q), min(8 * scale // q, scale - 1)
+    with mp.workdps(50):
+        for k in range(lo, hi + 1, max(1, (hi - lo) // 150)):
+            below = 1 - tail_fraction(q, Fraction(k, scale))
+            bound = (1 - (1 - mp.mpf(k) / scale) ** (q - 1)) ** q
+            assert mp.mpf(below.numerator) / below.denominator <= bound, (q, k, scale)
+
+
+@pytest.mark.parametrize("q", [2 * 10**4, 10**6, 2**53])
+def test_decimal_terms_are_bounded_at_large_q(monkeypatch, q):
+    # Counted, not timed: every decimal sum takes at most 200 terms at no more
+    # than 50 digits, from the support edge to the far tail and at every
+    # bisection step of two critical values.
+    counts, precs, terms = [], [], nulldist._decimal_terms
+
+    def counting(q, x):
+        counts.append(0)
+        precs.append(decimal.getcontext().prec)
+        for term in terms(q, x):
+            counts[-1] += 1
+            yield term
+
+    monkeypatch.setattr(nulldist, "_decimal_terms", counting)
+    for qx in np.geomspace(1.001, 200.0, 300):
+        tail(q, float(qx) / q)
+    for alpha in (0.05, 0.001):
+        critical_value(q, alpha)
+    assert counts and max(counts) <= 200
+    assert max(precs) <= 50
 
 
 def test_nan_statistic_is_rejected():
