@@ -20,7 +20,7 @@ from .simulate import (
 from .spectral import fisher_g, num_frequencies
 from .theory import PeriodicProfile, detectability
 
-__all__ = ["TestReport", "main", "run_test"]
+__all__ = ["TestReport", "run_test"]
 
 
 @dataclass(frozen=True)
@@ -113,19 +113,17 @@ _TEST_TEXT = (
 )
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args) -> None:
     report = run_test(read_series(args.file), d=args.d, alpha=args.alpha)
     _print_records([asdict(report)], _TEST_TEXT, args)
-    return 0
 
 
-def _cmd_critval(args) -> int:
+def _cmd_critval(args) -> None:
     template = "critical value (q={q}, alpha={alpha}): approx {approx}, exact {exact}"
     _print_records([asdict(critical_value(args.q, args.alpha))], template, args)
-    return 0
 
 
-def _cmd_pvalue(args) -> int:
+def _cmd_pvalue(args) -> None:
     record = {
         "q": args.q,
         "x": args.x,
@@ -133,10 +131,9 @@ def _cmd_pvalue(args) -> int:
         "p_approx": p_value(args.q, args.x, "approx"),
     }
     _print_records([record], "p-value (q={q}, x={x}): approx {p_approx}, exact {p_exact}", args)
-    return 0
 
 
-def _cmd_theory(args) -> int:
+def _cmd_theory(args) -> None:
     profile = PeriodicProfile(np.array(_read_tokens(args.file, float, "not a number")))
     summary = detectability(profile, args.d)
     ds = summary.detect_sum
@@ -156,7 +153,7 @@ def _cmd_theory(args) -> int:
         _print_records(({"field": key, "value": value} for key, value in record.items()), "", args)
         print()
         _print_records(rows, "", args)
-        return 0
+        return
     cells = {key: _cell(key, value, args) for key, value in record.items()}
     print("profile: r={r}   fold: d={d}   b=gcd(r,d)={b}".format(**cells))
     print(f"{'i':>4} {'e_i':>12} {'v_i':>12}")
@@ -169,7 +166,6 @@ def _cmd_theory(args) -> int:
     if summary.limit_g is not None:
         print("limit_g = {limit_g}".format(**cells))
     print("regime: {regime}".format(**cells))
-    return 0
 
 
 def _estimate_record(est: PowerEstimate) -> dict:
@@ -190,20 +186,18 @@ def _estimate_record(est: PowerEstimate) -> dict:
 _ESTIMATE_TEXT = "{scenario}  rate={rate}  se={std_error}  rejections={rejections}/{replications}"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     changes = {"replications": args.reps, "seed": args.seed}
     spec = replace(read_scenario(args.file), **{k: v for k, v in changes.items() if v is not None})
     est = estimate_power(spec)
     _print_records([_estimate_record(est)], _ESTIMATE_TEXT, args)
     if not args.csv:
         print(f"elapsed: {est.elapsed:.2f}s")
-    return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     estimates = iter_table(args.table, args.reps, args.seed)
     _print_records(map(_estimate_record, estimates), _ESTIMATE_TEXT, args)
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,7 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy names the allocation; a bare one has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    return 0

@@ -30,7 +30,6 @@ from .rng import _MAX_LENGTH, _UINT64_MAX, _as_int, _run_shards, substream
 from .spectral import GStatistic, _fold_length, fisher_g_batch
 
 __all__ = [
-    "BISECTION_TOL",
     "CriticalValue",
     "critical_value",
     "p_value",
@@ -84,6 +83,12 @@ def _decimal_terms(q: int, x: decimal.Decimal):
         yield comb * base ** (q - 1)
 
 
+def _one_term_power(q: int, x: float) -> float:
+    """(1 - x)^(q-1) as exp((q - 1) log1p(-x)), which keeps its digits at large
+    q, where rounding 1 - x would cost (q - 1) times its relative error."""
+    return math.exp((q - 1) * math.log1p(-x))
+
+
 def tail(q: int, x: float) -> float:
     """Exact survival probability P(g >= x) under the null, clamped to [0, 1].
 
@@ -103,7 +108,7 @@ def tail(q: int, x: float) -> float:
     # (Joag-Dev & Proschan, 1983), so P(g < x) <= (1 - (1 - x)^(q-1))^q. Below
     # 2^-55 the tail rounds to 1.0.
     if (x * q < 2.0 and (x * q - 1.0) ** power < 2.0**-55) or q * math.log1p(
-        -math.exp(power * math.log1p(-x))
+        -_one_term_power(q, x)
     ) < -55 * math.log(2.0):
         return 1.0
     combs, terms, size = _binomials(q), [], 0.0
@@ -140,7 +145,7 @@ def tail(q: int, x: float) -> float:
 def tail_approx(q: int, x: float) -> float:
     """One-term (j = 1) approximation q (1 - x)^{q-1}, clamped to [0, 1]."""
     q, x, edge = _support(q, x)
-    return min(1.0, q * (1.0 - x) ** (q - 1)) if edge is None else edge
+    return min(1.0, q * _one_term_power(q, x)) if edge is None else edge
 
 
 def p_value(q: int, g, convention: str = "exact") -> float:
@@ -174,7 +179,7 @@ def _approx_critical_value(q: int, alpha: float) -> float:
     for a q already read as a Python int."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("invalid level")
-    return 1.0 if q == 1 else 1.0 - (alpha / q) ** (1.0 / (q - 1))
+    return 1.0 if q == 1 else -math.expm1(math.log(alpha / q) / (q - 1))
 
 
 def critical_value(q: int, alpha: float) -> CriticalValue:

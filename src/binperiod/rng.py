@@ -46,7 +46,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["block_words", "replication_stream", "substream"]
+__all__ = ["replication_stream", "substream"]
 
 _UINT64_MAX = 2**64 - 1
 _MAX_LENGTH = sys.maxsize // 2  # n and sampler counts: 2n is index-sized

@@ -16,11 +16,9 @@ from .spectral import _fold_length, fisher_g_batch, num_frequencies
 from .theory import PeriodicProfile
 
 __all__ = [
-    "KINDS",
     "PI_DIGITS",
     "PowerEstimate",
     "ScenarioSpec",
-    "TABLE_IDS",
     "build_profile",
     "estimate_power",
     "iter_table",
@@ -156,7 +154,7 @@ def build_profile(spec: ScenarioSpec) -> PeriodicProfile:
 
 def simulate_series(profile: PeriodicProfile, n: int, rng: np.random.Generator) -> BinarySeries:
     """Draw Y_1..Y_n with Y_l ~ Bernoulli(p_{((l-1) mod r) + 1})."""
-    n = _as_int("n", n, 1)
+    n = _check("n", n)
     probs = np.resize(profile.p, n)
     return BinarySeries((rng.random(n) < probs).astype(np.int8))
 

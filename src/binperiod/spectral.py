@@ -28,7 +28,6 @@ import numpy as np
 from .rng import _as_int
 
 __all__ = [
-    "A_REL_TOL",
     "GStatistic",
     "fisher_g",
     "fisher_g_batch",

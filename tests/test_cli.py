@@ -260,6 +260,24 @@ def test_q_beyond_the_float_range_is_a_clean_error(capsys, command, value):
     assert "q must be >= 1 and <= 9007199254740992" in err
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 PiB"], ids=["bare", "numpy"])
+def test_out_of_memory_is_one_clean_error_line(capsys, monkeypatch, tmp_path, message):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "detectability", exhausted)
+    monkeypatch.setattr(cli, "estimate_power", exhausted)
+    profile = tmp_path / "profile.txt"
+    profile.write_text("0.2 0.5 0.8\n")
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("kind = constant\np1 = 0.5\nn = 120\nd = 12\n")
+    for argv in (["theory", str(profile), "--d", "6"], ["simulate", str(scenario)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message or 'out of memory'}"]
+
+
 def test_bad_token_is_a_clean_error(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 2\n")

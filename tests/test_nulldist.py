@@ -232,6 +232,27 @@ def test_tail_matches_mpmath_at_large_q(q):
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-300), (q, qx)
 
 
+@pytest.mark.parametrize("q, qx", [(10**6, 15.0), (2**53, 39.7)])
+def test_one_term_law_matches_mpmath_at_large_q(q, qx):
+    # 1 - x rounds to a multiple of 2^-53 here, so only a log1p form keeps
+    # the digits of q (1 - x)^(q-1) and of its root.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    x = qx / q
+    with mp.workdps(50):
+        expected = float(q * (1 - mp.mpf(x)) ** (q - 1))
+        assert tail_approx(q, x) == pytest.approx(expected, rel=1e-12)
+        for alpha in (0.1, 0.05, 0.01):
+            k = nulldist._approx_critical_value(q, alpha)
+            assert float(q * (1 - mp.mpf(k)) ** (q - 1)) == pytest.approx(alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, alpha", [(29, 0.05), (5, 0.05), (5, 0.1)])
+def test_one_term_critical_value_keeps_the_table_cells_bits(q, alpha):
+    # The shipped tables and the CLI scenario decide against these thresholds.
+    assert nulldist._approx_critical_value(q, alpha) == 1.0 - (alpha / q) ** (1.0 / (q - 1))
+
+
 @pytest.mark.parametrize("q", [1031, 5000, 50000])
 def test_critical_value_matches_mpmath_inversion(q):
     mpmath = pytest.importorskip("mpmath")

@@ -72,3 +72,11 @@ def test_star_import_runs_with_warnings_as_errors():
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def test_package_surface_is_the_modules_lists():
+    names = [
+        name for module in MODULES for name in importlib.import_module(f"binperiod.{module}").__all__
+    ]
+    assert len(set(names)) == len(names)
+    assert sorted(names) == PUBLIC

@@ -178,6 +178,11 @@ def test_simulate_series_degenerate_profiles():
     assert simulate_series(ones, 50, substream(1, 0)).values.all()
 
 
+def test_simulate_series_reads_n_by_the_scenario_rule():
+    with pytest.raises(ValueError, match=f"^n must be >= 1 and <= {sys.maxsize // 2}$"):
+        simulate_series(PeriodicProfile([0.5]), 2**70, substream(0, 0))
+
+
 def test_simulate_series_deterministic():
     profile = PeriodicProfile([0.2, 0.8])
     a = simulate_series(profile, 200, substream(42, 7)).values
