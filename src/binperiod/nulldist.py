@@ -179,7 +179,7 @@ def _approx_critical_value(q: int, alpha: float) -> float:
     for a q already read as a Python int."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("invalid level")
-    return 1.0 if q == 1 else -math.expm1(math.log(alpha / q) / (q - 1))
+    return 1.0 if q == 1 else -math.expm1((math.log(alpha) - math.log(q)) / (q - 1))
 
 
 def critical_value(q: int, alpha: float) -> CriticalValue:

@@ -69,6 +69,12 @@ def test_critval_csv(capsys):
     assert float(fields[3]) == pytest.approx(0.2033, abs=5e-4)
 
 
+def test_critval_at_a_level_below_the_float_range_of_alpha_over_q(capsys):
+    code, out, err = run_cli(capsys, "critval", "10000", "1e-320")
+    assert (code, err) == (0, "")
+    assert "approx 0.0719, exact 0.0719" in out
+
+
 def test_pvalue_command(capsys):
     code, out, _ = run_cli(capsys, "pvalue", "2", "0.75")
     assert code == 0

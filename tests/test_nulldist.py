@@ -253,6 +253,19 @@ def test_one_term_critical_value_keeps_the_table_cells_bits(q, alpha):
     assert nulldist._approx_critical_value(q, alpha) == 1.0 - (alpha / q) ** (1.0 / (q - 1))
 
 
+@pytest.mark.parametrize("q", [2, 10**4])
+def test_one_term_critical_value_at_the_smallest_level(q):
+    # alpha / q underflows to 0.0 here, so the root is formed from
+    # log(alpha) - log(q); at q = 2 it rounds to 1, at q = 10^4 it does not.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    alpha = 5e-324
+    with mp.workdps(50):
+        expected = float(1 - (mp.mpf(alpha) / q) ** (1 / mp.mpf(q - 1)))
+    assert critical_value(q, alpha).approx == pytest.approx(expected, rel=1e-12)
+    assert (q == 2) == (expected == 1.0)
+
+
 @pytest.mark.parametrize("q", [1031, 5000, 50000])
 def test_critical_value_matches_mpmath_inversion(q):
     mpmath = pytest.importorskip("mpmath")
