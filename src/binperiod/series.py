@@ -76,8 +76,8 @@ class FoldedSeries:
 def fold(series: BinarySeries, d: int) -> FoldedSeries:
     """Fold a binary series into d block means Z_i = mean_k Y_{i+kd}.
 
-    Averages run over k = 0..floor(n/d)-1; the trailing n - d*floor(n/d)
-    observations are discarded.
+    Averages of exact counts (:func:`_fold_counts`) run over k = 0..floor(n/d)-1;
+    the trailing n - d*floor(n/d) observations are discarded.
 
     Parameters
     ----------
@@ -90,8 +90,21 @@ def fold(series: BinarySeries, d: int) -> FoldedSeries:
     n = series.n
     d = _fold_length(d, n)
     blocks = n // d
-    counts = series.values[: blocks * d].reshape(blocks, d).sum(axis=0, dtype=np.int64)
+    counts = _fold_counts(series.values[: blocks * d].reshape(blocks, d).astype(np.uint8))
     return FoldedSeries(z=counts / blocks, d=d, blocks=blocks, n=n)
+
+
+def _fold_counts(x: np.ndarray) -> np.ndarray:
+    """Exact int64 sums over the blocks axis of a writable ``(..., blocks, d)``
+    uint8 array of 0/1 values, which it overwrites. Seven levels each add the
+    upper half of the live blocks onto the lower half (an odd middle block stays
+    put), so a byte sums at most 2**7 = 128 blocks and an eighth level could
+    pass 255; the at most ceil(blocks/128) rows left are summed in int64."""
+    live = x.shape[-2]
+    for _ in range(7):
+        half, live = live // 2, live - live // 2
+        x[..., :half, :] += x[..., live : live + half, :]
+    return x[..., :live, :].sum(axis=-2, dtype=np.int64)
 
 
 # The ASCII characters ``str.split`` splits on (``str.isspace``); the token
@@ -107,6 +120,7 @@ def _strip_comments(data: bytes) -> bytes | None:
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in text mode. A ``#`` that
     does not start a comment belongs to a token, which is then not 0 or 1.
     """
+    view = memoryview(data)  # its slices copy nothing: the join is the one copy
     parts = []
     pos = 0
     hash_at = data.find(b"#")
@@ -122,11 +136,11 @@ def _strip_comments(data: bytes) -> bytes | None:
             return None
         line_end = _LINE_END.search(data, hash_at)
         end = len(data) if line_end is None else line_end.start()
-        parts.append(data[pos:start])
+        parts.append(view[pos:start])
         pos = end
         hash_at = data.find(b"#", end)
-    parts.append(data[pos:])
-    return b"".join(parts)
+    parts.append(view[pos:])
+    return b"".join(parts) if pos else data  # pos > 0 once a comment is cut
 
 
 def _ascii_bits(data: bytes) -> np.ndarray | None:

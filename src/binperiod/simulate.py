@@ -11,7 +11,7 @@ import numpy as np
 
 from .nulldist import _approx_critical_value
 from .rng import _MAX_LENGTH, _UINT64_MAX, _as_int, _run_shards, block_words, replication_stream
-from .series import BinarySeries
+from .series import BinarySeries, _fold_counts
 from .spectral import _fold_length, fisher_g_batch, num_frequencies
 from .theory import PeriodicProfile
 
@@ -222,7 +222,7 @@ def _count_rejections(
                 np.less(raw[:, n : n + used], raw[:, :used], out=bits[:m])
             # Freed before the next draw, so a shard never holds two batches.
             del raw
-            counts = bits[:m].view(np.uint8).reshape(m, blocks, d).sum(axis=1, dtype=np.uint32)
+            counts = _fold_counts(bits[:m].view(np.uint8).reshape(m, blocks, d))
             np.divide(counts, blocks, out=means[lo - first : lo - first + m])
         values, _, _ = fisher_g_batch(means[: last - first])
         rejections += int(np.count_nonzero(values > k_alpha))
@@ -260,10 +260,11 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     ``simulate_series(profile, n, replication_stream(seed, k, n))``, which
     compares the doubles, reproduces replication k alone.
 
-    A shard compares a batch into its own bool buffer, folds it through a
-    byte view, and runs ``fisher_g_batch`` once per block of whole batches
-    of fold means (436 rows at n = 1200, d = 60 on up to two CPUs). The
-    statistic is row-wise, so no count depends on the block.
+    A shard compares a batch into its own bool buffer, folds it there in
+    place (:func:`binperiod.series._fold_counts`), and runs
+    ``fisher_g_batch`` once per block of whole batches of fold means (436
+    rows at n = 1200, d = 60 on up to two CPUs). The statistic is row-wise,
+    so no count depends on the block.
     """
     t0 = perf_counter()
     reps = spec.replications

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from binperiod.series import (
     BinarySeries,
+    _fold_counts,
     fold,
     read_series,
     write_series,
@@ -137,6 +140,67 @@ def test_self_concatenation_doubles_blocks(bits, d):
     twice = fold(BinarySeries(np.array(bits + bits)), d)
     assert twice.blocks == 2 * once.blocks
     assert np.array_equal(once.z, twice.z)
+
+
+# Around each power of two up to 512 blocks: seven in-place levels leave a
+# byte summing at most 128 blocks, and the rows left are summed in int64.
+FOLD_BLOCKS = [1, 2, 3, 127, 128, 129, 255, 256, 257, 511, 512, 513, 1000]
+
+
+def int64_fold(values, d):
+    blocks = values.size // d
+    return values[: blocks * d].reshape(blocks, d).sum(axis=0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("fill", ["ones", "random"])
+@pytest.mark.parametrize("d", [3, 60])
+@pytest.mark.parametrize("blocks", FOLD_BLOCKS)
+def test_fold_counts_match_int64_sum(blocks, d, fill):
+    # All ones put the largest sum in every byte at every level; one level
+    # past 128 blocks a byte would wrap 256 to 0.
+    if fill == "ones":
+        x = np.ones((blocks, d), dtype=np.uint8)
+    else:
+        x = np.random.default_rng(blocks * d).integers(0, 2, (blocks, d), dtype=np.uint8)
+    expected = int64_fold(x.ravel(), d)
+    counts = _fold_counts(x.copy())
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
+    # With a leading axis, as the table engine folds a batch, each row folds alone.
+    batch = _fold_counts(np.stack([x, 1 - x, x]))
+    assert np.array_equal(batch, [expected, blocks - expected, expected])
+    # fold discards the d - 1 trailing values and leaves its series as it was.
+    series = BinarySeries(np.append(x.ravel(), np.ones(d - 1, dtype=np.uint8)))
+    folded = fold(series, d)
+    assert folded.blocks == blocks
+    assert np.array_equal(folded.z, expected / blocks)
+    assert np.array_equal(series.values[: blocks * d], x.ravel())
+
+
+@pytest.mark.parametrize("fill", ["ones", "random"])
+@pytest.mark.parametrize("d", [3, 12, 1001])
+def test_fold_of_a_million_values_matches_int64_sum(d, fill):
+    # 333,333 blocks at d = 3; 999 at d = 1001.
+    if fill == "ones":
+        values = np.ones(10**6, dtype=np.int8)
+    else:
+        values = np.random.default_rng(d).integers(0, 2, 10**6, dtype=np.int8)
+    folded = fold(BinarySeries(values), d)
+    assert np.array_equal(folded.z, int64_fold(values, d) / (10**6 // d))
+
+
+def test_fold_working_set_is_bounded():
+    # fold halves a byte copy of the kept values; the int64 sum of the rows
+    # left after halving adds a cast buffer of at most 8,192 values.
+    series = BinarySeries(np.random.default_rng(3).integers(0, 2, 10**6))
+    fold(series, 3)
+    tracemalloc.start()
+    try:
+        fold(series, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10**6 + 64 * 1024
 
 
 def test_file_round_trip(tmp_path):

@@ -461,6 +461,9 @@ ENGINE_SPECS = [
     # 67,000 blocks: a fold count near 65,536 wraps in a 16-bit accumulator
     # in about half of the positions, which took all 3 rejections to 0.
     ScenarioSpec(kind="CONSTANT", p1=65536 / 67000, n=7 * 67000, d=7, replications=30, seed=0),
+    # 400 blocks: the in-place halving stops at 128 blocks a byte, and four
+    # rows are left for the int64 sum (86 rejections).
+    ScenarioSpec(kind="ARITH_STEP", r=5, step=0.01, n=2000, d=5, replications=2000, seed=8),
 ]
 
 
