@@ -190,8 +190,8 @@ def test_fold_of_a_million_values_matches_int64_sum(d, fill):
 
 
 def test_fold_working_set_is_bounded():
-    # fold halves a byte copy of the kept values; the int64 sum of the rows
-    # left after halving adds a cast buffer of at most 8,192 values.
+    # fold halves a byte copy of the n kept values. At d = 3 the int64 sum of
+    # the 2,605 x 3 bytes left after halving adds a 62.5 KB cast buffer.
     series = BinarySeries(np.random.default_rng(3).integers(0, 2, 10**6))
     fold(series, 3)
     tracemalloc.start()
