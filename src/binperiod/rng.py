@@ -49,11 +49,11 @@ import numpy as np
 __all__ = ["replication_stream", "substream"]
 
 _UINT64_MAX = 2**64 - 1
-_MAX_LENGTH = sys.maxsize // 2  # n and sampler counts: 2n is index-sized
+_MAX_LENGTH = sys.maxsize // 2  # n and sampler counts
 
 # 8-byte values per batch of draws: about 1 MiB (109 rows at n = 1200). Whole
-# 1024-row batches raised the peak RSS of one n = 1200 cell from 37 to 48 MB
-# (58 MB for RANDOM_IID); with this cap it stays at the interpreter's 37 MB.
+# 1024-row batches raised the peak RSS of one n = 1200 cell from 37 to 48 MB;
+# with this cap it stays at the interpreter's 37 MB.
 _BATCH_WORDS = 2**17
 # Batches a sharded call holds at once. Two shards draw full batches (on 2
 # CPUs the second raised mc_table's peak RSS from 42.4 to 44.3 MB); more

@@ -41,7 +41,8 @@ def _arith_step(s, i):
 
 
 # Each kind's parameters, in label order, and its profile as a formula of the
-# spec; RANDOM_IID redraws its probabilities per replication and has none.
+# spec. RANDOM_IID draws each p_i uniformly and then Y_i ~ Bernoulli(p_i), so
+# its observations are i.i.d. Bernoulli(1/2): the constant profile 1/2.
 _KINDS = {
     "CONSTANT": (("p1",), lambda s: np.array([s.p1], dtype=float)),
     "ARITH_STEP": (("r", "step", "mean"), lambda s: _arith_step(s, np.arange(1, s.r + 1))),
@@ -51,13 +52,13 @@ _KINDS = {
     ),
     "SINE": (("r",), lambda s: 0.4 * np.sin(4.0 * np.pi * np.arange(s.r) / (s.r - 1)) + 0.5),
     "PI_DIGITS": (("length",), lambda s: np.array([int(c) / 10.0 for c in PI_DIGITS[: s.length]])),
-    "RANDOM_IID": ((), None),
+    "RANDOM_IID": ((), lambda s: np.array([0.5])),
 }
 KINDS = tuple(_KINDS)
 
 # Each field's type and range (None: unbounded), applied by _check: d's one
-# check is spectral._fold_length, and alpha's range is open. n keeps 2n-word
-# rows index-sized and replications keeps every replication index in 64 bits.
+# check is spectral._fold_length, and alpha's range is open. replications keeps
+# every replication index in 64 bits.
 # ScenarioSpec stores the integers as Python ints; label() prints floats with :g.
 _RULES = {
     "n": (int, 1, _MAX_LENGTH), "replications": (int, 1, 2**64), "seed": (int, 0, _UINT64_MAX),
@@ -90,8 +91,9 @@ class ScenarioSpec:
     ``mean`` (probabilities in arithmetic progression with the given mean);
     ENDPOINTS uses ``r``, ``p_lo``, ``p_hi`` (linear interpolation); SINE
     uses ``r`` (two full sine periods sampled on an inclusive equidistant
-    grid); PI_DIGITS uses ``length`` (p_i = digit_i/10); RANDOM_IID redraws
-    all n probabilities uniformly each replication.
+    grid); PI_DIGITS uses ``length`` (p_i = digit_i/10); RANDOM_IID takes no
+    parameter: a p_i drawn uniformly for each Y_i makes the Y_i i.i.d.
+    Bernoulli(1/2), so it runs as the constant profile 1/2.
     """
 
     kind: str
@@ -141,21 +143,15 @@ class ScenarioSpec:
 
 
 def build_profile(spec: ScenarioSpec) -> PeriodicProfile:
-    """Materialise the success-probability profile of a scenario.
-
-    RANDOM_IID has no fixed profile (probabilities are redrawn inside each
-    replication) and is rejected here.
-    """
-    formula = _KINDS[spec.kind][1]
-    if formula is None:
-        raise ValueError("RANDOM_IID redraws probabilities per replication")
-    return PeriodicProfile(formula(spec))
+    """Materialise the success-probability profile of a scenario (for
+    RANDOM_IID, the constant profile 1/2)."""
+    return PeriodicProfile(_KINDS[spec.kind][1](spec))
 
 
 def simulate_series(profile: PeriodicProfile, n: int, rng: np.random.Generator) -> BinarySeries:
     """Draw Y_1..Y_n with Y_l ~ Bernoulli(p_{((l-1) mod r) + 1})."""
     n = _check("n", n)
-    probs = np.resize(profile.p, n)
+    probs = np.tile(profile.p, -(-n // profile.r))[:n]
     return BinarySeries((rng.random(n) < probs).astype(np.int8))
 
 
@@ -170,42 +166,38 @@ class PowerEstimate:
     elapsed: float
 
 
-# The 53 high bits of a raw word, all that Generator.random keeps of it:
-# u = (raw >> 11) * 2**-53.
-_KEPT_BITS = ~np.uint64(0x7FF)
-
-
-def _thresholds(p) -> tuple[np.ndarray, np.ndarray]:
-    """Return the uint64 thresholds ``ceil(p * 2**53) * 2**11``, below which
-    a raw word's uniform double is below p (see :func:`estimate_power`), and
-    the indices where p = 1, whose threshold 2**64 wraps to 0: the caller
-    sets their bits itself."""
+def _thresholds(p, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return the uint64 thresholds ``ceil(p * 2**53) * 2**11`` of profile
+    ``p`` repeated to ``length`` positions, below which a raw word's uniform
+    double is below p (see :func:`estimate_power`), and the positions where
+    p = 1, whose threshold 2**64 wraps to 0: the caller sets their bits
+    itself."""
     p = np.asarray(p, dtype=float)
+    reps = -(-length // p.size)
     thresholds = np.ceil(np.ldexp(p, 53)).astype(np.uint64) << np.uint64(11)
-    return thresholds, np.flatnonzero(p == 1.0)
+    return np.tile(thresholds, reps)[:length], np.flatnonzero(np.tile(p == 1.0, reps)[:length])
 
 
 def _count_rejections(
-    spec: ScenarioSpec, probs, k_alpha: float, start: int, stop: int, rows: int
+    spec: ScenarioSpec, thresholds, certain, k_alpha: float, start: int, stop: int, rows: int
 ) -> int:
     """Rejections among replications ``[start, stop)`` of ``spec``'s run.
 
-    ``probs`` is the length-n profile, or None for RANDOM_IID. The shard
-    draws the raw words of ``rows`` replications at a time from its own
-    stream, advanced to replication ``start``, decides their bits with
-    integer compares (see :func:`estimate_power`), and takes the statistic
-    of a block of whole batches of fold means at a time: at most a fifth of
-    its draws, or one batch.
+    ``thresholds`` and ``certain`` are the cell's threshold row and p = 1
+    positions over the positions the fold keeps (:func:`_thresholds`), which
+    every shard reads and none writes. The shard draws the raw words of
+    ``rows`` replications at a time from its own stream, advanced to
+    replication ``start``, decides their bits with one integer compare (see
+    :func:`estimate_power`), and takes the statistic of a block of whole
+    batches of fold means at a time: at most a fifth of its draws, or one
+    batch.
     """
     n, d = spec.n, spec.d
     blocks = n // d
     used = blocks * d
-    width = n if probs is not None else 2 * n
-    words = block_words(width)
+    words = block_words(n)
     block = rows * max(1, words // (5 * d))
-    if probs is not None:
-        thresholds, certain = _thresholds(probs[:used])
-    bitgen = replication_stream(spec.seed, start, width).bit_generator
+    bitgen = replication_stream(spec.seed, start, n).bit_generator
     bits = np.empty((min(rows, stop - start), used), dtype=bool)
     means = np.empty((min(block, stop - start), d))
     rejections = 0
@@ -214,14 +206,10 @@ def _count_rejections(
         for lo in range(first, last, rows):
             m = min(rows, last - lo)
             raw = bitgen.random_raw(m * words).reshape(m, words)
-            if probs is not None:
-                np.less(raw[:, :used], thresholds, out=bits[:m])
-                bits[:m, certain] = True
-            else:
-                np.bitwise_and(raw[:, :used], _KEPT_BITS, out=raw[:, :used])
-                np.less(raw[:, n : n + used], raw[:, :used], out=bits[:m])
+            np.less(raw[:, :used], thresholds, out=bits[:m])
             # Freed before the next draw, so a shard never holds two batches.
             del raw
+            bits[:m, certain] = True
             counts = _fold_counts(bits[:m].view(np.uint8).reshape(m, blocks, d))
             np.divide(counts, blocks, out=means[lo - first : lo - first + m])
         values, _, _ = fisher_g_batch(means[: last - first])
@@ -232,9 +220,8 @@ def _count_rejections(
 def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     """Monte Carlo rejection rate of the level-alpha test under ``spec``.
 
-    Replication k takes its words from its counter block of the run's
-    stream (see :mod:`binperiod.rng`): n bit words, or for RANDOM_IID n
-    probability words followed by n bit words. It folds its series with
+    Replication k takes its n words, one a bit, from its counter block of
+    the run's stream (see :mod:`binperiod.rng`). It folds its series with
     spec.d and rejects when the guarded statistic exceeds the one-term
     approximate critical value (the convention all shipped tables use; the
     exact value is available separately from
@@ -242,16 +229,11 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
 
     Bits are decided on the raw 64-bit words, with no conversion to double.
     ``Generator.random`` maps a word to ``u = (raw >> 11) * 2**-53``, which
-    is exact and monotone in ``raw``, so the two rules below give the same
-    bits as comparing those uniform doubles:
-
-    * a fixed profile sets bit l when ``raw_l < ceil(p_l * 2**53) * 2**11``
-      (``u_l < p_l``); where p_l = 1 that threshold, 2**64, wraps to 0 in
-      uint64, so those bits are set explicitly;
-    * RANDOM_IID sets bit l when ``raw_bit < raw_prob & ~0x7FF``
-      (``u_bit < u_prob``): clearing the 11 low bits that the double drops
-      from the probability word is the same threshold with
-      ``p * 2**53 = raw_prob >> 11``.
+    is exact and monotone in ``raw``, so setting bit l when
+    ``raw_l < ceil(p_l * 2**53) * 2**11`` gives the same bits as
+    ``u_l < p_l``; where p_l = 1 that threshold, 2**64, wraps to 0 in
+    uint64, so those bits are set explicitly. The cell builds this threshold
+    row once, over the positions the fold keeps, and its shards share it.
 
     :func:`binperiod.rng._run_shards` splits the replications into shards
     and sizes their batches (see :mod:`binperiod.rng`); each shard draws
@@ -271,10 +253,9 @@ def estimate_power(spec: ScenarioSpec) -> PowerEstimate:
     k_alpha = _approx_critical_value(num_frequencies(spec.d), spec.alpha)
     # build_profile may warn; warning filters are process-wide, so it stays
     # on the calling thread.
-    probs = None if spec.kind == "RANDOM_IID" else np.resize(build_profile(spec).p, spec.n)
-    words = block_words(spec.n if probs is not None else 2 * spec.n)
-    count = partial(_count_rejections, spec, probs, k_alpha)
-    rejections = sum(_run_shards(count, reps, reps, words))
+    thresholds, certain = _thresholds(build_profile(spec).p, spec.n // spec.d * spec.d)
+    count = partial(_count_rejections, spec, thresholds, certain, k_alpha)
+    rejections = sum(_run_shards(count, reps, reps, block_words(spec.n)))
     rate = rejections / reps
     std_error = math.sqrt(rate * (1.0 - rate) / reps)
     return PowerEstimate(

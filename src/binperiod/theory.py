@@ -37,10 +37,10 @@ __all__ = [
 
 def effective_period(p) -> int:
     """Smallest s dividing len(p) such that p is exactly s-periodic."""
-    arr = np.asarray(p)
+    arr = np.asarray(p).ravel()
     r = arr.size
     for s in range(1, r):
-        if r % s == 0 and np.array_equal(arr, np.resize(arr[:s], r)):
+        if r % s == 0 and (arr.reshape(-1, s) == arr[:s]).all():
             return s
     return r
 
@@ -81,8 +81,8 @@ class PeriodicProfile:
         return int(self.p.size)
 
 
-def _coset_means(values: np.ndarray, d: int, length: int) -> np.ndarray:
-    """The defining sums (1/r) sum_k values_{i+kd} for i = 1..length.
+def _coset_means(values: np.ndarray, d: int) -> np.ndarray:
+    """The defining sums (1/r) sum_k values_{i+kd} for i = 1..d.
 
     The indices i-1+kd, k = 0..r-1, run over the residue class of i-1 mod
     b = gcd(r, d) in Z_r, each b times, so only b sums are taken. fsum is
@@ -92,7 +92,7 @@ def _coset_means(values: np.ndarray, d: int, length: int) -> np.ndarray:
     r = values.size
     b = math.gcd(r, d)
     sums = np.array([math.fsum(values[c::b].tolist() * b) / r for c in range(b)])
-    return sums[np.arange(length) % b]
+    return sums[np.arange(d) % b]
 
 
 class PowerRegime(Enum):
@@ -110,8 +110,9 @@ class AsymptoticSummary:
     ``e`` holds the in-probability limits e_1..e_d of the folded block means
     and ``v`` the variance limits v_1..v_d of the rescaled block means.
     ``detect_sum`` is the complex sufficiency certificate
-    sum_{k=1..r} e_k exp(-2 pi i k / b) (floor((d-k)/r) + 1), the DFT of e at
-    frequency d/b. For b >= 3 a modulus above ``detect_tol``
+    sum_{k=1..min(r,d)} e_k exp(-2 pi i k / b) (floor((d-k)/r) + 1), the DFT
+    of e at frequency d/b (a position k > d has weight 0, so it is left out,
+    also from ``detect_tol``). For b >= 3 a modulus above ``detect_tol``
     (``detect_nonzero``) guarantees that e lies outside A and the statistic
     converges to ``limit_g``. For b = 2 the sum is the excluded ordinate d/2
     and certifies nothing: e is then constant plus alternating, so in A. A
@@ -153,22 +154,19 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     p = profile.p
     r = profile.r
     b = math.gcd(r, d)
-    # e at positions 1..max(r, d): the defining sum is well defined past d,
-    # and the detection sum reads positions 1..r.
-    coset = _coset_means(p, d, max(r, d))
-    e = coset[:d]
-    v = _coset_means(p * (1.0 - p), d, d)
+    e = _coset_means(p, d)
+    v = _coset_means(p * (1.0 - p), d)
     g = fisher_g(e)
-    e_head = coset[:r].tolist()
+    e_head = e[: min(r, d)].tolist()
     terms = [
-        e_head[k - 1] * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
-        for k in range(1, r + 1)
+        x * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
+        for k, x in enumerate(e_head, start=1)
     ]
     detect_sum = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     detect_tol = 1e-10 * math.fsum(abs(x) for x in e_head) * (d // r + 1)
     detect_nonzero = abs(detect_sum) > detect_tol
 
-    if b > 2 and r <= d and detect_nonzero and g.degenerate:
+    if b > 2 and detect_nonzero and g.degenerate:
         raise RuntimeError(
             "inconsistent classification: detection sum is nonzero but the"
             " limit vector tested as degenerate"

@@ -12,7 +12,7 @@ import pytest
 from binperiod import nulldist, rng, simulate
 from binperiod.nulldist import critical_value
 from binperiod.rng import block_words, replication_stream, substream
-from binperiod.series import BinarySeries, fold
+from binperiod.series import fold
 from binperiod.simulate import (
     KINDS,
     PI_DIGITS,
@@ -120,10 +120,17 @@ def test_table_ids_are_pinned():
     assert TABLE_IDS == ("T1", "T2", "T3", "T4", "T5", "PI")
 
 
-def test_random_iid_has_no_fixed_profile():
-    spec = ScenarioSpec(kind="RANDOM_IID", n=60, d=6)
-    with pytest.raises(ValueError, match="redraws"):
-        build_profile(spec)
+def test_random_iid_is_the_constant_profile_one_half():
+    # A uniform p_i for each Y_i makes the Y_i i.i.d. Bernoulli(1/2), so the
+    # engine draws RANDOM_IID exactly as CONSTANT p1 = 0.5, also where n
+    # leaves a discarded tail.
+    assert build_profile(ScenarioSpec(kind="RANDOM_IID", n=60, d=6)).p.tolist() == [0.5]
+    for n in (1200, 1210):
+        for seed in range(5):
+            common = dict(n=n, d=60, replications=2000, seed=seed)
+            iid = estimate_power(ScenarioSpec(kind="RANDOM_IID", **common))
+            half = estimate_power(ScenarioSpec(kind="CONSTANT", p1=0.5, **common))
+            assert iid.rejections == half.rejections, (n, seed)
 
 
 def test_profile_out_of_range_rejected():
@@ -183,6 +190,21 @@ def test_simulate_series_reads_n_by_the_scenario_rule():
         simulate_series(PeriodicProfile([0.5]), 2**70, substream(0, 0))
 
 
+def test_simulate_series_working_set_is_bounded():
+    # The profile repeated to n doubles, n uniform doubles and their compare:
+    # 17 bytes a value. Repeating by concatenation held 40.7 MB at n = 10^6.
+    profile = PeriodicProfile([0.5])
+    n = 10**6
+    simulate_series(profile, 1000, substream(0, 0))  # one-off first-call allocations
+    tracemalloc.start()
+    try:
+        simulate_series(profile, n, substream(0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * n
+
+
 def test_simulate_series_deterministic():
     profile = PeriodicProfile([0.2, 0.8])
     a = simulate_series(profile, 200, substream(42, 7)).values
@@ -194,7 +216,7 @@ def test_simulate_series_deterministic():
 
 def test_estimate_power_deterministic():
     # n = 120 fills whole counter blocks; n = 122 leaves two words of padding
-    # per replication (n = 244 for RANDOM_IID).
+    # per replication.
     specs = [
         ScenarioSpec(kind="PI_DIGITS", length=120, n=120, d=12, replications=300, seed=11),
         ScenarioSpec(kind="ARITH_STEP", r=4, step=0.2, n=122, d=12, replications=300, seed=11),
@@ -237,16 +259,11 @@ def test_replication_blocks_tile_one_stream(width):
 def test_replication_replays_alone(kind):
     spec = ScenarioSpec(kind=kind, r=4, step=0.2, n=122, d=12, replications=60, seed=6)
     k_alpha = critical_value(num_frequencies(spec.d), spec.alpha).approx
-    profile = None if kind == "RANDOM_IID" else build_profile(spec)
+    profile = build_profile(spec)
     decisions = []
     for k in range(spec.replications):
-        if kind == "RANDOM_IID":
-            rng = replication_stream(spec.seed, k, 2 * spec.n)
-            probs = rng.random(spec.n)
-            series = BinarySeries((rng.random(spec.n) < probs).astype(np.int8))
-        else:
-            rng = replication_stream(spec.seed, k, spec.n)
-            series = simulate_series(profile, spec.n, rng)
+        rng = replication_stream(spec.seed, k, spec.n)
+        series = simulate_series(profile, spec.n, rng)
         decisions.append(int(fisher_g(fold(series, spec.d).z).value > k_alpha))
     assert 0 < sum(decisions) < len(decisions)
     # Every prefix of a run is the shorter run, so the running counts pin
@@ -260,16 +277,24 @@ def test_replication_replays_alone(kind):
 
 
 def test_estimate_power_working_set_is_bounded():
-    # One RANDOM_IID replication at n = 10^5 is 2*10^5 words (1.6 MB); a
-    # batch of all 16 rows at once would hold 25.6 MB.
-    spec = ScenarioSpec(kind="RANDOM_IID", n=100_000, d=60, replications=16, seed=1)
-    tracemalloc.start()
-    try:
-        estimate_power(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    # One replication at n = 10^5 is 10^5 words (0.8 MB); a batch of all 16
+    # rows at once would hold 12.8 MB. At n = 2*10^5 the cell's threshold row
+    # (1.6 MB) is built once, not once per shard, and the profile is not
+    # repeated to n doubles: that held 7.6 MiB for CONSTANT.
+    common = dict(d=60, replications=16, seed=1)
+    specs = [
+        ScenarioSpec(kind="RANDOM_IID", n=100_000, **common),
+        ScenarioSpec(kind="CONSTANT", p1=0.5, n=200_000, **common),
+        ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, n=200_000, **common),
+    ]
+    for spec in specs:
+        tracemalloc.start()
+        try:
+            estimate_power(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, spec.label()
 
 
 # Every spec has at least three batches, so that it runs on as many shards as
@@ -285,8 +310,7 @@ SHARDED_SPECS = [
 
 @pytest.mark.parametrize("spec", SHARDED_SPECS, ids=lambda spec: f"{spec.kind}-{spec.n}")
 def test_counts_do_not_depend_on_worker_count(monkeypatch, spec):
-    width = 2 * spec.n if spec.kind == "RANDOM_IID" else spec.n
-    rows = rng._BATCH_WORDS // block_words(width)
+    rows = rng._BATCH_WORDS // block_words(spec.n)
     batches = -(-spec.replications // rows)
     assert batches >= 3
     starts = []
@@ -321,8 +345,7 @@ def test_prefix_counts_match_on_three_workers(monkeypatch, kind):
     # replications on three shards, which split the cell's two batches into
     # one-row batches.
     spec = ScenarioSpec(kind=kind, r=4, step=0.2, n=122, d=12, replications=60, seed=6)
-    width = 2 * spec.n if kind == "RANDOM_IID" else spec.n
-    monkeypatch.setattr(rng, "_BATCH_WORDS", 2 * block_words(width))
+    monkeypatch.setattr(rng, "_BATCH_WORDS", 2 * block_words(spec.n))
 
     def prefix_counts(workers):
         monkeypatch.setattr(rng, "_cpu_count", lambda: workers)
@@ -405,34 +428,45 @@ def test_working_set_does_not_grow_with_workers(monkeypatch, kind):
 
 
 def test_wide_replications_run_serially(monkeypatch):
-    # Eight shards of the working-set spec would hold eight 1.6 MB rows.
+    # Eight shards of a working-set spec would hold eight rows. At n = 10^5
+    # the budget holds two 0.8 MB rows, so two shards run; at n = 2*10^5 a
+    # 1.6 MB row is wider than half the budget, so one shard opens one stream.
     monkeypatch.setattr(rng, "_cpu_count", lambda: 8)
-    spec = ScenarioSpec(kind="RANDOM_IID", n=100_000, d=60, replications=16, seed=1)
-    tracemalloc.start()
-    try:
-        estimate_power(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    starts = []
+
+    def recording_stream(seed, index, width):
+        starts.append(index)
+        return replication_stream(seed, index, width)
+
+    monkeypatch.setattr(simulate, "replication_stream", recording_stream)
+    for n, streams in ((100_000, [0, 8]), (200_000, [0])):
+        spec = ScenarioSpec(kind="RANDOM_IID", n=n, d=60, replications=16, seed=1)
+        starts.clear()
+        tracemalloc.start()
+        try:
+            estimate_power(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, n
+        assert sorted(starts) == streams, n
 
 
 def former_rejections(spec: ScenarioSpec) -> int:
     """Rejections of ``spec`` by the engine's former loop, run serially: a
     fresh comparison, an int64 fold and one statistic call per batch."""
     n, d = spec.n, spec.d
-    probs = None if spec.kind == "RANDOM_IID" else np.resize(build_profile(spec).p, n)
+    probs = np.resize(build_profile(spec).p, n)
     k_alpha = nulldist._approx_critical_value(num_frequencies(d), spec.alpha)
     blocks = n // d
-    width = n if probs is not None else 2 * n
-    rows = max(1, 2**17 // block_words(width))
-    rng = replication_stream(spec.seed, 0, width)
-    buf = np.empty((min(rows, spec.replications), block_words(width)))
+    rows = max(1, 2**17 // block_words(n))
+    rng = replication_stream(spec.seed, 0, n)
+    buf = np.empty((min(rows, spec.replications), block_words(n)))
     start, stop, rejections = 0, spec.replications, 0
     while start < stop:
         m = min(rows, stop - start)
         u = rng.random(out=buf[:m])
-        bits = u[:, :n] < probs if probs is not None else u[:, n:width] < u[:, :n]
+        bits = u[:, :n] < probs
         counts = bits[:, : blocks * d].reshape(m, blocks, d).sum(axis=1)
         values, _, _ = fisher_g_batch(counts / blocks)
         rejections += int(np.count_nonzero(values > k_alpha))
@@ -448,8 +482,7 @@ ENGINE_SPECS = [
     ScenarioSpec(kind="SINE", r=6, n=1200, d=60, replications=2000, seed=8),
     ScenarioSpec(kind="PI_DIGITS", length=120, n=120, d=12, replications=5000, seed=8),
     ScenarioSpec(kind="RANDOM_IID", n=1200, d=60, replications=2000, seed=8),
-    # A discarded tail of ten positions, in the bits and in RANDOM_IID's
-    # probabilities.
+    # A discarded tail of ten positions.
     ScenarioSpec(kind="ARITH_STEP", r=7, step=0.02, n=1210, d=60, replications=2000, seed=8),
     ScenarioSpec(kind="RANDOM_IID", n=1210, d=60, replications=2000, seed=8),
     # 2,003 replications leave every shard a short last block.
@@ -490,7 +523,7 @@ def test_thresholds_decide_as_the_double_compare():
     # Column j holds the words around p_j's threshold T_j * 2^11 and the
     # extreme words, each with the decision Generator.random's double gives.
     p = [0.0, 2**-53, 0.1, 0.5, 1 - 2**-53, 1.0]
-    thresholds, certain = simulate._thresholds(p)
+    thresholds, certain = simulate._thresholds(p, len(p))
     edges = [math.ceil(x * 2**53) * 2**11 for x in p]
     assert thresholds.tolist() == [edge % 2**64 for edge in edges]
     assert certain.tolist() == [5]
@@ -501,24 +534,11 @@ def test_thresholds_decide_as_the_double_compare():
     bits = words < thresholds
     bits[:, certain] = True
     assert bits.tolist() == ((words >> np.uint64(11)) * 2.0**-53 < np.array(p)).tolist()
-
-
-def test_random_iid_mask_decides_as_the_double_compare():
-    # Bit and probability words that share their top 53 bits give equal
-    # doubles, so no bit is set however their low 11 bits differ.
-    tops = [0, 1, 2**52, 2**53 - 1]
-    lows = [0, 1, 0x7FF]
-    probs = np.array([(top << 11) | low for top in tops for low in lows], dtype=np.uint64)
-    words = np.array(
-        [min(max((top << 11) + offset, 0), 2**64 - 1)
-         for top in tops for offset in (-1, 0, 1, 0x7FF, 0x800)],
-        dtype=np.uint64,
-    )
-    bit_words, prob_words = (a.ravel() for a in np.meshgrid(words, probs))
-    decided = bit_words < (prob_words & simulate._KEPT_BITS)
-    doubles = [(raw >> np.uint64(11)) * 2.0**-53 for raw in (bit_words, prob_words)]
-    assert decided.tolist() == (doubles[0] < doubles[1]).tolist()
-    assert not decided[(bit_words >> np.uint64(11)) == (prob_words >> np.uint64(11))].any()
+    # A profile repeated to a length that cuts its last period, after a 1.0.
+    thresholds, certain = simulate._thresholds([0.25, 1.0, 0.5], 7)
+    p = [0.25, 1.0, 0.5, 0.25, 1.0, 0.5, 0.25]
+    assert thresholds.tolist() == [math.ceil(x * 2**53) * 2**11 % 2**64 for x in p]
+    assert certain.tolist() == [1, 4]
 
 
 # Rejections of every T1-T5 and PI cell at 2,000 replications, seed 0, as
@@ -567,9 +587,9 @@ def test_benchmark_workloads_keep_their_plan(monkeypatch):
     batches, sizes = [], []
     count_rejections, draw_groups = simulate._count_rejections, nulldist._draw_groups
 
-    def recording_count(spec, probs, k_alpha, start, stop, rows):
+    def recording_count(spec, thresholds, certain, k_alpha, start, stop, rows):
         batches.append(rows)
-        return count_rejections(spec, probs, k_alpha, start, stop, rows)
+        return count_rejections(spec, thresholds, certain, k_alpha, start, stop, rows)
 
     def recording_draw(seed, w, out, first, stop, batch):
         batches.append(batch)
@@ -593,7 +613,7 @@ def test_benchmark_workloads_keep_their_plan(monkeypatch):
     estimate_power(ScenarioSpec(kind="ARITH_STEP", r=20, step=0.01, **common))
     assert plan() == (2, 109, 436)
     estimate_power(ScenarioSpec(kind="RANDOM_IID", **common))
-    assert plan() == (2, 54, 432)
+    assert plan() == (2, 109, 436)
     with pytest.warns(UserWarning, match="touches 0 or 1"):
         estimate_power(ScenarioSpec(kind="PI_DIGITS", length=120, **dict(common, n=120, d=12)))
     assert plan() == (2, 1092, 2184)

@@ -122,10 +122,22 @@ def test_coset_sums_match_per_position_definition():
                 math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
             ), (r, d)
             assert summary.detect_tol == (
-                1e-10 * math.fsum(abs(x) for x in head) * (d // r + 1)
+                1e-10 * math.fsum(abs(x) for x in head[: min(r, d)]) * (d // r + 1)
             ), (r, d)
             assert summary.e_in_A == g_ref.degenerate, (r, d)
             assert summary.limit_g == (None if g_ref.degenerate else g_ref.value), (r, d)
+
+
+def test_detection_tolerance_reads_only_the_summed_positions():
+    # Positions past d have weight 0 in the detection sum, so they must not
+    # scale its tolerance: over all 6,000 positions it was 3.0e-7, above
+    # |detect_sum| = 7.2e-8, and a CONSISTENT profile read inconclusive.
+    p = 0.5 + 1e-6 * np.random.default_rng(4).standard_normal(6000)
+    summary = detectability(PeriodicProfile(p), 60)
+    assert summary.regime is PowerRegime.CONSISTENT
+    assert summary.detect_nonzero
+    assert abs(summary.detect_sum) == pytest.approx(7.2e-8, rel=0.01)
+    assert summary.detect_tol == pytest.approx(3.0e-9, rel=0.01)
 
 
 def test_detectability_example():
