@@ -23,7 +23,8 @@ __all__ = [
 class BinarySeries:
     """Ordered 0/1 observations Y_1..Y_n; 1-based indices in all formulas.
 
-    Construction raises ValueError ``"empty series"`` for a zero-length input,
+    Construction raises ValueError ``"series must be a vector"`` unless the
+    input is one-dimensional, ``"empty series"`` for a zero-length input,
     otherwise ``"value out of alphabet at position i"`` with 1-based ``i``
     pointing at the first entry that is not 0 or 1.
     """
@@ -32,14 +33,18 @@ class BinarySeries:
 
     def __post_init__(self):
         arr = np.asarray(self.values)
+        if arr.ndim != 1:
+            raise ValueError("series must be a vector")
         if arr.size == 0:
             raise ValueError("empty series")
-        bad = ~((arr == 0) | (arr == 1))
+        # An entry is 0 or 1 exactly when it equals its own truth value.
+        flags = arr.astype(bool)
+        bad = arr != flags
         if bad.any():
             raise ValueError(f"value out of alphabet at position {int(np.argmax(bad)) + 1}")
-        arr = np.array(arr, dtype=np.int8, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        values = flags.view(np.int8)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -112,6 +117,8 @@ def _fold_counts(x: np.ndarray) -> np.ndarray:
 _BLANKS = b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
 _SEPARATORS = _BLANKS + b","
 _LINE_END = re.compile(rb"[\n\r]")
+# Bytes per pass of _ascii_bits, so that its temporaries stay cache-sized.
+_CHUNK = 1 << 18
 
 
 def _strip_comments(data: bytes) -> bytes | None:
@@ -145,21 +152,32 @@ def _strip_comments(data: bytes) -> bytes | None:
 
 def _ascii_bits(data: bytes) -> np.ndarray | None:
     """The 0/1 values of an ASCII series file of one-character tokens, or None
-    when the file is not ASCII or holds any other token."""
+    when the file is not ASCII or holds any other token. It reads chunks of
+    ``_CHUNK`` bytes, each extended to just after a ``\\n`` (or to the end),
+    so no token or comment line spans two chunks."""
     if not data.isascii():
         return None
-    data = _strip_comments(data)
-    if data is None:
-        return None
-    # A longer token has two adjacent 0/1 bytes, or a byte that is neither a
-    # separator nor 0/1 and so survives the deletion of the separators.
-    digit = np.frombuffer(data, dtype=np.uint8) - ord("0") < 2
-    if np.any(digit[1:] & digit[:-1]):
-        return None
-    bits = np.frombuffer(data.translate(None, _SEPARATORS), dtype=np.uint8) - ord("0")
-    if np.any(bits > 1):
-        return None
-    return bits
+    # A checked chunk has no two adjacent 0/1 bytes, and each but the last
+    # ends in a line end, so at most half the bytes (rounded up) are tokens.
+    out = np.empty((len(data) + 1) // 2, dtype=np.uint8)
+    used = start = 0
+    while start < len(data):
+        cut = data.find(b"\n", start + _CHUNK - 1)
+        stop = len(data) if cut < 0 else cut + 1
+        chunk, start = _strip_comments(data[start:stop]), stop
+        if chunk is None:
+            return None
+        # A longer token has two adjacent 0/1 bytes, or a byte that is neither
+        # a separator nor 0/1 and so survives the deletion of the separators.
+        digit = np.frombuffer(chunk, dtype=np.uint8) - ord("0") < 2
+        if np.any(digit[1:] & digit[:-1]):
+            return None
+        bits = np.frombuffer(chunk.translate(None, _SEPARATORS), dtype=np.uint8) - ord("0")
+        if np.any(bits > 1):
+            return None
+        out[used : used + bits.size] = bits
+        used += bits.size
+    return out[:used]
 
 
 def _read_tokens(path, convert, what: str) -> list:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binperiod import series as series_module
 from binperiod.series import (
     BinarySeries,
+    _ascii_bits,
     _fold_counts,
     fold,
     read_series,
@@ -43,9 +45,22 @@ def read_outcome(reader, path):
         return type(exc), str(exc)
 
 
+def ascii_outcome(raw: bytes):
+    bits = _ascii_bits(raw)
+    return None if bits is None else bits.tolist()
+
+
 def assert_reads_like_token_loop(path, raw: bytes):
+    # Chunks of 1, 2, 3 and 7 bytes (each extended to a line end) put a chunk
+    # cut after every line end that the file has; the byte reader must accept
+    # or refuse the same files, and give the same values, at every size.
     path.write_bytes(raw)
-    assert read_outcome(read_series, path) == read_outcome(token_loop_read_series, path)
+    whole = ascii_outcome(raw)
+    for chunk in (series_module._CHUNK, 1, 2, 3, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_CHUNK", chunk)
+            assert ascii_outcome(raw) == whole, chunk
+            assert read_outcome(read_series, path) == read_outcome(token_loop_read_series, path)
 
 
 def test_fold_hand_example():
@@ -98,6 +113,57 @@ def test_validate_empty():
 def test_binary_series_rejects_fractions():
     with pytest.raises(ValueError, match="position 1"):
         BinarySeries(np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "values, position",
+    [
+        ([0, 1, 1, 0], None),
+        ([True, False], None),
+        (np.array([-0.0, 1.0]), None),
+        (np.array([0, 1, 1.0, True], dtype=object), None),
+        ([1 + 0j, 0], None),
+        ([0, 2, 1], 2),
+        (np.array(["0", "1"]), 1),
+        ([0, None, 1], 2),
+        (np.array([0, 1, "1"], dtype=object), 3),
+        (np.array([0, 1], dtype="datetime64[D]"), 1),
+        (np.array([0, 1, 0.5], dtype=np.float16), 3),
+        ([1, 1.0000001], 2),
+        ([0, np.inf], 2),
+        ([1, -np.inf], 2),
+        ([0, 1, np.nan], 3),
+        ([1, 256], 2),
+        ([0, -1], 2),
+        (np.array([1, 2**63], dtype=np.uint64), 2),
+        ([0, 1 + 0j, 1j], 3),
+    ],
+)
+def test_validate_names_first_value_out_of_alphabet(values, position):
+    if position is None:
+        series = BinarySeries(values)
+        assert series.values.dtype == np.int8
+        assert series.values.tolist() == [int(abs(v)) for v in values]
+    else:
+        with pytest.raises(ValueError, match=f"at position {position}$"):
+            BinarySeries(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[0, 1, 1, 0, 1, 0], [1, 1, 0, 0, 1, 0]],
+        np.ones((3, 4), dtype=np.int8),
+        np.zeros((1, 0)),
+        1,
+        "01",
+    ],
+)
+def test_binary_series_accepts_only_vectors(values):
+    # A matrix used to be flattened: a 2 x 6 one gave n = 12 and then failed
+    # to reshape in fold, and a 3 x 4 one folded at d = 4 through its rows.
+    with pytest.raises(ValueError, match="series must be a vector"):
+        BinarySeries(values)
 
 
 def test_values_are_immutable():
@@ -280,8 +346,34 @@ def test_million_token_round_trip_with_header(tmp_path):
     bits = np.random.default_rng(8).integers(0, 2, size=10**6).astype(np.int8)
     path = tmp_path / "series.txt"
     write_series(path, BinarySeries(bits))
-    path.write_bytes(b"# one million tokens\r\n" + path.read_bytes().replace(b"\n", b"\r\n"))
+    # Comma and tab separators, and a comment line after every 997 data lines,
+    # so that the byte reader's chunk cuts land among all of them.
+    lines = path.read_bytes().splitlines()
+    lines[0::3] = [line.replace(b" ", b",") for line in lines[0::3]]
+    lines[1::3] = [line.replace(b" ", b"\t ") for line in lines[1::3]]
+    for i in range(len(lines) // 997, 0, -1):
+        lines.insert(997 * i, b"  # comment %d" % i)
+    raw = b"# one million tokens\r\n" + b"\r\n".join(lines) + b"\r\n"
+    path.write_bytes(raw)
+    assert len(raw) > 4 * series_module._CHUNK
+    assert np.array_equal(_ascii_bits(raw), bits)
     assert np.array_equal(read_series(path).values, bits)
+
+
+def test_read_series_working_set_is_bounded(tmp_path):
+    # The file's bytes, the parsed bytes and the values (one byte a token
+    # each), and a few chunk-sized temporaries. Whole-file temporaries held
+    # 6.0 MB at 10^6 tokens.
+    path = tmp_path / "series.txt"
+    write_series(path, BinarySeries(np.random.default_rng(9).integers(0, 2, size=10**6)))
+    read_series(path)
+    tracemalloc.start()
+    try:
+        read_series(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size + 2 * 10**6 + 4 * series_module._CHUNK
 
 
 def join_write_series(path, series, per_line=60):
