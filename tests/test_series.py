@@ -160,8 +160,8 @@ def test_validate_names_first_value_out_of_alphabet(values, position):
     ],
 )
 def test_binary_series_accepts_only_vectors(values):
-    # A matrix used to be flattened: a 2 x 6 one gave n = 12 and then failed
-    # to reshape in fold, and a 3 x 4 one folded at d = 4 through its rows.
+    # Flattened, a 2 x 6 matrix would give n = 12 and fail to reshape in fold,
+    # and a 3 x 4 one would fold at d = 4 through its rows.
     with pytest.raises(ValueError, match="series must be a vector"):
         BinarySeries(values)
 
@@ -362,8 +362,7 @@ def test_million_token_round_trip_with_header(tmp_path):
 
 def test_read_series_working_set_is_bounded(tmp_path):
     # The file's bytes, the parsed bytes and the values (one byte a token
-    # each), and a few chunk-sized temporaries. Whole-file temporaries held
-    # 6.0 MB at 10^6 tokens.
+    # each), and a few temporaries of a chunk each, not of the whole file.
     path = tmp_path / "series.txt"
     write_series(path, BinarySeries(np.random.default_rng(9).integers(0, 2, size=10**6)))
     read_series(path)
