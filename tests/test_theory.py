@@ -95,6 +95,14 @@ def per_position_mean(values, d, i):
     return math.fsum(values[(i + k * d - 1) % r] for k in range(r)) / r
 
 
+def b_copies_mean(values, d):
+    """e (or v) as the fsum of b = gcd(r, d) copies of each coset, over r."""
+    r = values.size
+    b = math.gcd(r, d)
+    sums = np.array([math.fsum(values[c::b].tolist() * b) / r for c in range(b)])
+    return sums[np.arange(d) % b]
+
+
 def test_coset_sums_match_per_position_definition():
     # The limits are taken as b = gcd(r, d) coset sums; every field derived
     # from them must equal the per-position definition to the last bit.
@@ -126,6 +134,21 @@ def test_coset_sums_match_per_position_definition():
             ), (r, d)
             assert summary.e_in_A == g_ref.degenerate, (r, d)
             assert summary.limit_g == (None if g_ref.degenerate else g_ref.value), (r, d)
+    # At r = d every coset is one value taken b = r times; the oracle sums
+    # b copies of it. The edge values include subnormals, 2^-900 and
+    # 1 - 2^-53, whose scaled copies and variances p(1 - p) must all be
+    # summed exactly.
+    edges = [0.0, 1.0, 5e-324, 3 * 2.0**-1074, 2.0**-900, 1 - 2.0**-53]
+    for r in (1000, 1001, 2520):
+        p = rng.uniform(0.0, 1.0, r)
+        p[: 20 * len(edges)] = np.tile(edges, 20)
+        rng.shuffle(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the profile touches 0 and 1
+            summary = detectability(PeriodicProfile(p), r)
+        assert summary.b == r
+        assert np.array_equal(summary.e, b_copies_mean(p, r)), r
+        assert np.array_equal(summary.v, b_copies_mean(p * (1.0 - p), r)), r
 
 
 def test_detection_tolerance_reads_only_the_summed_positions():
@@ -188,6 +211,12 @@ def test_regimes():
     )
     # symmetric period-2 profile: variance limits coincide, so null-like
     assert detectability(PeriodicProfile([0.3, 0.7]), 60).regime is PowerRegime.NULL_LIKE
+    # Decimal intent: the coset means are all 0.2, although 0.1 + 0.3 and
+    # 0.2 + 0.2 differ by 2.8e-17 in binary, so e is in A (b = 3).
+    for d in (3, 9):
+        summary = detectability(PeriodicProfile([0.1, 0.2, 0.3, 0.3, 0.2, 0.1]), d)
+        assert summary.e_in_A, d
+        assert summary.regime is PowerRegime.R2_LIMIT, d
 
 
 def test_profile_validation():
@@ -271,18 +300,32 @@ def test_statistic_approaches_limit_g():
 
 
 def test_detectability_never_raises_on_near_constant_and_tiny_profiles():
-    # Near-constant and small-probability profiles: the detection sum and the
-    # degenerate guard must agree on every one (4,050 profiles, under a second).
+    # Near-constant and small-probability profiles, down to subnormal ones:
+    # the detection sum and the degenerate guard must agree on every one. For
+    # b >= 3 a detection sum above its tolerance puts e outside A (the
+    # argument at spectral.A_REL_TOL, for every d), so it never stands beside
+    # e in A. The grid is 4,050 profiles at bases down to 1e-9, 2,700 at the
+    # tiny bases, and a few past d = 12,000.
+    def grid():
+        for bases in ((0.5, 1e-6, 1e-9), (1e-200, 1e-310)):
+            for r in range(3, 13):
+                for d in (6, 12, 24, 60, 120, 360, 840, 1001, 2520):
+                    for k in range(-15, 0):
+                        for base in bases:
+                            yield r, d, k, base
+        for r, d in ((36_867, 36_867), (12, 65_536)):
+            for k in (-12, -2):
+                for base in (0.5, 1e-200, 1e-310):
+                    yield r, d, k, base
+
     rng = np.random.default_rng(5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # clipped profiles may touch 0 or 1
-        for r in range(3, 13):
-            for d in (6, 12, 24, 60, 120, 360, 840, 1001, 2520):
-                for k in range(-15, 0):
-                    for base in (0.5, 1e-6, 1e-9):
-                        p = np.clip(base * (1.0 + 10.0**k * rng.uniform(-1, 1, r)), 0, 1)
-                        summary = detectability(PeriodicProfile(p), d)
-                        assert (summary.limit_g is None) == summary.e_in_A, (r, d, k, base)
+        for r, d, k, base in grid():
+            p = np.clip(base * (1.0 + 10.0**k * rng.uniform(-1, 1, r)), 0, 1)
+            summary = detectability(PeriodicProfile(p), d)
+            assert (summary.limit_g is None) == summary.e_in_A, (r, d, k, base)
+            assert not (summary.b > 2 and summary.detect_nonzero and summary.e_in_A), (r, d, k, base)
 
 
 def test_regimes_do_not_depend_on_scale():
@@ -292,3 +335,9 @@ def test_regimes_do_not_depend_on_scale():
         with pytest.warns(UserWarning, match="not minimal"):
             profile = PeriodicProfile([0.3 * s, 0.3 * s])
         assert detectability(profile, 6).regime is PowerRegime.NULL_LIKE, k
+    # Down to subnormal probabilities (0.2e-320 is about 405 * 2^-1074).
+    for k in range(0, 321):
+        s = 10.0**-k
+        summary = detectability(PeriodicProfile([0.2 * s, 0.5 * s, 0.8 * s]), 6)
+        assert summary.regime is PowerRegime.CONSISTENT, k
+        assert summary.limit_g == 1.0, k
