@@ -119,8 +119,8 @@ class AsymptoticSummary:
     (``detect_nonzero``) guarantees that e lies outside A and the statistic
     converges to ``limit_g``. For b = 2 the sum is the excluded ordinate d/2
     and certifies nothing: e is then constant plus alternating, so in A. A
-    modulus within tolerance of zero is inconclusive; ``e_in_A`` is always
-    the direct membership test.
+    modulus within tolerance of zero is inconclusive; ``e_in_A`` is always the
+    direct membership test. Both are decided on e scaled by a power of two.
     """
 
     e: np.ndarray
@@ -159,24 +159,24 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     b = math.gcd(r, d)
     e = _coset_means(p, d)
     v = _coset_means(p * (1.0 - p), d)
-    # g is scale-free and e <= 1: scaling e up by a power of two to a maximum
-    # in [1, 2) is exact, and its energy no longer underflows to 0.
-    g = fisher_g(np.ldexp(e, 1 - math.frexp(e.max())[1]))
-    e_head = e[: min(r, d)].tolist()
+    shift = 1 - math.frexp(e.max())[1]  # exact as e <= 1; max(e * 2^shift) in [1, 2)
+    es = np.ldexp(e, shift)
+    g = fisher_g(es)
+    head = es[: min(r, d)].tolist()
     terms = [
         x * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
-        for k, x in enumerate(e_head, start=1)
+        for k, x in enumerate(head, start=1)
     ]
     detect_sum = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    detect_tol = 1e-10 * math.fsum(abs(x) for x in e_head) * (d // r + 1)
+    detect_tol = 1e-10 * math.fsum(abs(x) for x in head) * (d // r + 1)
     detect_nonzero = abs(detect_sum) > detect_tol
     return AsymptoticSummary(
         e=e,
         v=v,
         b=b,
         e_in_A=g.degenerate,
-        detect_sum=detect_sum,
-        detect_tol=detect_tol,
+        detect_sum=complex(math.ldexp(detect_sum.real, -shift), math.ldexp(detect_sum.imag, -shift)),
+        detect_tol=math.ldexp(detect_tol, -shift),
         detect_nonzero=detect_nonzero,
         limit_g=None if g.degenerate else g.value,
     )

@@ -304,28 +304,34 @@ def test_detectability_never_raises_on_near_constant_and_tiny_profiles():
     # the detection sum and the degenerate guard must agree on every one. For
     # b >= 3 a detection sum above its tolerance puts e outside A (the
     # argument at spectral.A_REL_TOL, for every d), so it never stands beside
-    # e in A. The grid is 4,050 profiles at bases down to 1e-9, 2,700 at the
-    # tiny bases, and a few past d = 12,000.
-    def grid():
-        for bases in ((0.5, 1e-6, 1e-9), (1e-200, 1e-310)):
+    # e in A. The grid is 4,050 profiles at bases down to 1e-9, 4,050 at the
+    # tiny bases, a few past d = 12,000, and subnormal profiles whose terms
+    # and tolerance underflow unless e is scaled up.
+    rng = np.random.default_rng(5)
+
+    def cases():
+        for bases in ((0.5, 1e-6, 1e-9), (1e-200, 1e-310, 1e-320)):
             for r in range(3, 13):
                 for d in (6, 12, 24, 60, 120, 360, 840, 1001, 2520):
                     for k in range(-15, 0):
                         for base in bases:
-                            yield r, d, k, base
+                            p = base * (1.0 + 10.0**k * rng.uniform(-1, 1, r))
+                            yield (r, d, k, base), p, d
         for r, d in ((36_867, 36_867), (12, 65_536)):
             for k in (-12, -2):
-                for base in (0.5, 1e-200, 1e-310):
-                    yield r, d, k, base
+                for base in (0.5, 1e-200, 1e-310, 1e-320):
+                    yield (r, d, k, base), base * (1.0 + 10.0**k * rng.uniform(-1, 1, r)), d
+        yield "constant 5e-324", np.full(5, 5e-324), 10
+        # Minimal period 15; each coset mod 5 holds 0, 5e-324 and 1e-323.
+        orders = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2)]
+        yield "0, 5e-324, 1e-323", 5e-324 * np.array(orders, dtype=float).T.ravel(), 5
 
-    rng = np.random.default_rng(5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # clipped profiles may touch 0 or 1
-        for r, d, k, base in grid():
-            p = np.clip(base * (1.0 + 10.0**k * rng.uniform(-1, 1, r)), 0, 1)
-            summary = detectability(PeriodicProfile(p), d)
-            assert (summary.limit_g is None) == summary.e_in_A, (r, d, k, base)
-            assert not (summary.b > 2 and summary.detect_nonzero and summary.e_in_A), (r, d, k, base)
+        for case, p, d in cases():
+            summary = detectability(PeriodicProfile(np.clip(p, 0, 1)), d)
+            assert (summary.limit_g is None) == summary.e_in_A, case
+            assert not (summary.b > 2 and summary.detect_nonzero and summary.e_in_A), case
 
 
 def test_regimes_do_not_depend_on_scale():
