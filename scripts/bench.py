@@ -8,14 +8,18 @@ its record, ``.perfbench/result-<workload>.json``, is read back after the
 run, so no second harness is involved. Each workload gets ten pairs of 20 s
 runs: pair i uses seed ``1000 + i`` on both sides, and the side that runs
 first alternates with i. After the pairs, one ``--trace 1`` run per side
-gives the per-layer metrics, and one run of the tier-1 suite per side gives
-its wall time; a failing suite stops the script.
+gives the per-layer metrics. Then ten pairs of ``binperiod table T2 --reps
+20000 --csv`` runs, in the same alternating order, give ``table_t2_s`` per
+side, a record with no claim attached: the benchmark's ``mc_table`` gives each
+cell its own seed, so it cannot see work that a table's cells share. Last,
+one run of the tier-1 suite per side gives its wall time; a failing suite
+stops the script.
 
 The output, ``BENCH_<short-commit>.json`` in this checkout, holds, per side
 and workload, the median and interquartile range of the six end-to-end
 metrics with every run's value, the pairs the change won on each metric
-(with ``--parent``), the per-layer metrics, the tier-1 wall time and the
-``src/`` line count. A checkout whose ``src/`` differs from its HEAD is
+(with ``--parent``), the per-layer metrics, the tier-1 and table wall times
+and the ``src/`` line count. A checkout whose ``src/`` differs from its HEAD is
 named ``BENCH_<short-commit>+<first 8 hex digits of its src_sha256>``.
 ``mc_table`` and ``limit_sampler`` get no per-layer metrics: both Monte
 Carlo engines run shards on helper threads, and perfbench's tracer keeps one
@@ -44,6 +48,7 @@ SECONDS = 20.0
 FIRST_SEED = 1000
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+TABLE = [sys.executable, "-m", "binperiod", "table", "T2", "--reps", "20000", "--csv"]
 
 
 def git(tree: Path, *args: str) -> str:
@@ -70,6 +75,16 @@ def tier1_seconds(tree: Path) -> float:
     print(f"  tier-1 in {tree}: {summary} ({elapsed:.1f} s)", flush=True)
     if proc.returncode != 0:
         raise SystemExit(f"tier-1 failed in {tree} (exit {proc.returncode}): {summary}")
+    return elapsed
+
+
+def table_seconds(tree: Path) -> float:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.run(TABLE, cwd=tree, capture_output=True, text=True, env=env)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(TABLE[1:])} failed in {tree}:\n{proc.stderr[-2000:]}")
     return elapsed
 
 
@@ -129,6 +144,12 @@ def main(argv=None) -> int:
                 rec = perfbench(trees[side], workload, FIRST_SEED, SECONDS, 1)
                 traced[side][workload] = rec["per_layer"]
 
+    tables = {side: [] for side in trees}
+    for i in range(PAIRS):
+        for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
+            tables[side].append(table_seconds(trees[side]))
+            print(f"table T2 pair {i} {side}: {tables[side][-1]:.2f} s", flush=True)
+
     first = {side: next(iter(runs[side].values()))[0] for side in trees}
     out = {
         "seconds": SECONDS,
@@ -146,6 +167,7 @@ def main(argv=None) -> int:
             "src_sha256": rec["src_sha256"],
             "src_lines": rec["src_lines"],
             "tier1_s": tier1_seconds(tree),
+            "table_t2_s": spread(tables[side]),
             "workloads": {
                 w: {**summarise(recs, better), "per_layer": traced[side].get(w)}
                 for w, recs in runs[side].items()

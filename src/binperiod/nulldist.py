@@ -43,6 +43,8 @@ BISECTION_TOL = 1e-10
 # Limit-law draws per key of the sampler's stream.
 _GROUP = 256
 _MAX_Q = 2**53
+# Below 2^-55 a bound on P(g < x) rounds the tail to 1.0.
+_LOG_TINY = -55 * math.log(2.0)
 
 
 def _support(q, x) -> tuple[int, float, float | None]:
@@ -99,8 +101,12 @@ def tail(q: int, x: float) -> float:
     NaN ``x`` with ValueError; x = +-inf give 0 and 1.
     """
     q, x, edge = _support(q, x)
-    if edge is not None:
-        return edge
+    return _tail(q, x) if edge is None else edge
+
+
+def _tail(q: int, x: float) -> float:
+    """:func:`tail` for a q already read by ``_as_int`` and a float x strictly
+    inside the support (x q > 1 and x < 1, as ``_support`` tests them)."""
     power = q - 1
     # g is the largest coordinate of a uniform point on the simplex; points
     # with all coordinates below x map into it by u -> (x - u) / (qx - 1), so
@@ -109,20 +115,21 @@ def tail(q: int, x: float) -> float:
     # 2^-55 the tail rounds to 1.0.
     if (x * q < 2.0 and (x * q - 1.0) ** power < 2.0**-55) or q * math.log1p(
         -_one_term_power(q, x)
-    ) < -55 * math.log(2.0):
+    ) < _LOG_TINY:
         return 1.0
     combs, terms, size = _binomials(q), [], 0.0
-    for j in range(1, q + 1):
+    for j, comb in enumerate(combs, 1):
         base = 1.0 - j * x
         if base <= 0.0:
             break
-        if j > len(combs):  # C(q, j) > float max
-            size = math.inf
-            break
         p = base**power
-        term = combs[j - 1] * p
+        term = comb * p
         size += term / base
         terms.append(term if j % 2 else -term)
+    # Past the cached row C(q, j) > float max, so one more positive base
+    # leaves the float sum unbounded.
+    if len(combs) < q and 1.0 - (len(combs) + 1) * x > 0.0:
+        size = math.inf
     # Term j carries (q - 1) u / base_j from its base (1 - j x is off by one
     # rounding of 1) and four roundings u, fsum one more; 2^-52 = 2u doubles it.
     total = math.fsum(terms)
@@ -195,10 +202,12 @@ def critical_value(q: int, alpha: float) -> CriticalValue:
     """
     q = _as_int("q", q, 1, _MAX_Q)
     approx = _approx_critical_value(q, alpha)
+    # Every midpoint lies at least half the final width inside (1/q, 1), far
+    # past rounding, so each step skips the edge rule and calls the kernel.
     lo, hi = 1.0 / q, 1.0
     while hi - lo > BISECTION_TOL * min(1.0, 1e4 / q):
         mid = 0.5 * (lo + hi)
-        if tail(q, mid) > alpha:
+        if _tail(q, mid) > alpha:
             lo = mid
         else:
             hi = mid

@@ -180,21 +180,34 @@ def _ascii_bits(data: bytes) -> np.ndarray | None:
     return out[:used]
 
 
+# _read_tokens splits a line _PIECE characters at a time, each piece cut just
+# after a separator: ``\s`` matches exactly what ``str.split`` splits on.
+_PIECE = 1 << 16
+_TOKEN_END = re.compile(r"[\s,]")
+_COMMENT = re.compile(r"\s*#")
+
+
 def _read_tokens(path, convert, what: str) -> list:
     """Each token of a series or profile file through ``convert``, naming the
-    first token it rejects by position and line."""
+    first token it rejects by position and line. A long line is read in
+    pieces, so it costs no copy of the line and no list of its token strings."""
     values: list = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.lstrip().startswith("#"):
+            if _COMMENT.match(line):
                 continue
-            for tok in line.replace(",", " ").split():
-                try:
-                    values.append(convert(tok))
-                except (KeyError, ValueError):
-                    raise ValueError(
-                        f"{what} at position {len(values) + 1} (line {lineno}: {tok!r})"
-                    ) from None
+            start = 0
+            while start < len(line):
+                cut = _TOKEN_END.search(line, start + _PIECE)
+                stop = len(line) if cut is None else cut.end()
+                for tok in line[start:stop].replace(",", " ").split():
+                    try:
+                        values.append(convert(tok))
+                    except (KeyError, ValueError):
+                        raise ValueError(
+                            f"{what} at position {len(values) + 1} (line {lineno}: {tok!r})"
+                        ) from None
+                start = stop
     return values
 
 

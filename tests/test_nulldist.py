@@ -320,6 +320,27 @@ def test_decimal_terms_are_bounded_at_large_q(monkeypatch, q):
     assert max(precs) <= 50
 
 
+def test_critical_value_reads_q_once(monkeypatch):
+    # The bisection calls the tail kernel on a q read once, not the public
+    # tail, which reads its arguments on every call.
+    calls, as_int = [], nulldist._as_int
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return as_int(*args, **kwargs)
+
+    monkeypatch.setattr(nulldist, "_as_int", counting)
+    for q in (1, 2, 5, 29, 1259, 2**53):
+        for alpha in (0.05, 0.001):
+            calls.clear()
+            critical_value(q, alpha)
+            assert calls == ["q"], (q, alpha)
+        for x in (0.0, 1.5 / q, 0.5, 1.0):
+            calls.clear()
+            tail(q, x)
+            assert calls == ["q"], (q, x)
+
+
 def test_nan_statistic_is_rejected():
     for f in (tail, tail_approx):
         with pytest.raises(ValueError, match="NaN"):

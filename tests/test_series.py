@@ -53,12 +53,15 @@ def ascii_outcome(raw: bytes):
 def assert_reads_like_token_loop(path, raw: bytes):
     # Chunks of 1, 2, 3 and 7 bytes (each extended to a line end) put a chunk
     # cut after every line end that the file has; the byte reader must accept
-    # or refuse the same files, and give the same values, at every size.
+    # or refuse the same files, and give the same values, at every size. The
+    # token reader's pieces take the same sizes in characters, each extended
+    # to just after a separator.
     path.write_bytes(raw)
     whole = ascii_outcome(raw)
     for chunk in (series_module._CHUNK, 1, 2, 3, 7):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(series_module, "_CHUNK", chunk)
+            mp.setattr(series_module, "_PIECE", chunk)
             assert ascii_outcome(raw) == whole, chunk
             assert read_outcome(read_series, path) == read_outcome(token_loop_read_series, path)
 
@@ -373,6 +376,41 @@ def test_read_series_working_set_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= path.stat().st_size + 2 * 10**6 + 4 * series_module._CHUNK
+
+
+def test_long_line_is_read_in_pieces(tmp_path):
+    # The reader holds the line and the values, but no copy of the line and no
+    # list of its token strings: one line of 2 * 10^5 values peaks below twice
+    # the same values 50 to a line.
+    values = [repr(v) for v in np.random.default_rng(10).random(2 * 10**5).tolist()]
+    one, many = tmp_path / "one.txt", tmp_path / "many.txt"
+    one.write_text(" ".join(values) + "\n")
+    many.write_text("".join(" ".join(values[i : i + 50]) + "\n" for i in range(0, len(values), 50)))
+    peaks = []
+    for path in (one, many):
+        tracemalloc.start()
+        try:
+            got = series_module._read_tokens(path, float, "not a number")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == [float(v) for v in values]
+        peaks.append(peak)
+    assert peaks[0] < 2 * peaks[1], peaks
+    assert len(one.read_text()) > 40 * series_module._PIECE
+
+
+def test_bad_token_in_a_later_piece_is_named(tmp_path):
+    # Five characters a token: the line is four pieces long, and token k
+    # starts at character 5 k, so the bad one is in the middle of the third.
+    tokens = ["0.25"] * (4 * series_module._PIECE // 5)
+    bad = series_module._PIECE // 2
+    tokens[bad] = "x"
+    path = tmp_path / "profile.txt"
+    path.write_text("0.5\n  # comment\n" + " ".join(tokens) + "\n")
+    message = rf"^not a number at position {bad + 2} \(line 3: 'x'\)$"
+    with pytest.raises(ValueError, match=message):
+        series_module._read_tokens(path, float, "not a number")
 
 
 def join_write_series(path, series, per_line=60):
