@@ -118,18 +118,17 @@ def _tail(q: int, x: float) -> float:
     ) < _LOG_TINY:
         return 1.0
     combs, terms, size = _binomials(q), [], 0.0
-    for j, comb in enumerate(combs, 1):
+    for j in range(1, q + 1):
         base = 1.0 - j * x
         if base <= 0.0:
             break
+        if j > len(combs):  # C(q, j) > float max
+            size = math.inf
+            break
         p = base**power
-        term = comb * p
+        term = combs[j - 1] * p
         size += term / base
         terms.append(term if j % 2 else -term)
-    # Past the cached row C(q, j) > float max, so one more positive base
-    # leaves the float sum unbounded.
-    if len(combs) < q and 1.0 - (len(combs) + 1) * x > 0.0:
-        size = math.inf
     # Term j carries (q - 1) u / base_j from its base (1 - j x is off by one
     # rounding of 1) and four roundings u, fsum one more; 2^-52 = 2u doubles it.
     total = math.fsum(terms)
