@@ -66,11 +66,16 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads((tree / ".perfbench" / f"result-{workload}.json").read_text())
 
 
-def tier1_seconds(tree: Path) -> float:
+def timed(tree: Path, cmd: list[str]) -> tuple[float, subprocess.CompletedProcess]:
+    """Wall time and result of ``cmd`` run in ``tree`` on its own ``src/``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=tree, capture_output=True, text=True, env=env)
-    elapsed = time.perf_counter() - t0
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
+    return time.perf_counter() - t0, proc
+
+
+def tier1_seconds(tree: Path) -> float:
+    elapsed, proc = timed(tree, TIER1)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     print(f"  tier-1 in {tree}: {summary} ({elapsed:.1f} s)", flush=True)
     if proc.returncode != 0:
@@ -79,10 +84,7 @@ def tier1_seconds(tree: Path) -> float:
 
 
 def table_seconds(tree: Path) -> float:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    t0 = time.perf_counter()
-    proc = subprocess.run(TABLE, cwd=tree, capture_output=True, text=True, env=env)
-    elapsed = time.perf_counter() - t0
+    elapsed, proc = timed(tree, TABLE)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(TABLE[1:])} failed in {tree}:\n{proc.stderr[-2000:]}")
     return elapsed
