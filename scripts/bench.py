@@ -8,19 +8,22 @@ its record, ``.perfbench/result-<workload>.json``, is read back after the
 run, so no second harness is involved. Each workload gets ten pairs of 20 s
 runs: pair i uses seed ``1000 + i`` on both sides, and the side that runs
 first alternates with i. After the pairs, one ``--trace 1`` run per side
-gives the per-layer metrics. Then ten pairs of ``binperiod table T2 --reps
-20000 --csv`` runs, in the same alternating order, give ``table_t2_s`` per
-side, a record with no claim attached: the benchmark's ``mc_table`` gives each
-cell its own seed, so it cannot see work that a table's cells share. Last,
-one run of the tier-1 suite per side gives its wall time; a failing suite
-stops the script.
+gives the per-layer metrics. Then ten pairs of cold command-line runs per
+command, in the same alternating order, give two records per side with no
+claim attached. ``table_t2_s`` times ``binperiod table T2 --reps 20000
+--csv``: the benchmark's ``mc_table`` gives each cell its own seed, so it
+cannot see work that a table's cells share. ``theory_b_s`` times ``binperiod
+theory --d 20000 --csv`` on one seeded profile of period r = 20,000, so that
+b = gcd(r, d) = 20,000: the benchmark's theory requests have r <= 12, so it
+cannot see the cost of a large gcd. Last, one run of the tier-1 suite per
+side gives its wall time; a failing suite stops the script.
 
 The output, ``BENCH_<short-commit>.json`` in this checkout, holds, per side
 and workload, the median and interquartile range of the six end-to-end
 metrics with every run's value, the pairs the change won on each metric
-(with ``--parent``), the per-layer metrics, the tier-1 and table wall times
-and the ``src/`` line count. A checkout whose ``src/`` differs from its HEAD is
-named ``BENCH_<short-commit>+<first 8 hex digits of its src_sha256>``.
+(with ``--parent``), the per-layer metrics, the tier-1, table and theory wall
+times and the ``src/`` line count. A checkout whose ``src/`` differs from its
+HEAD is named ``BENCH_<short-commit>+<first 8 hex digits of its src_sha256>``.
 ``mc_table`` and ``limit_sampler`` get no per-layer metrics: both Monte
 Carlo engines run shards on helper threads, and perfbench's tracer keeps one
 span stack for all threads, so the helpers' spans get wrong parents and
@@ -34,9 +37,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,6 +54,8 @@ FIRST_SEED = 1000
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TABLE = [sys.executable, "-m", "binperiod", "table", "T2", "--reps", "20000", "--csv"]
+THEORY_R = 20_000  # also d, so b = gcd(r, d) = r
+THEORY = [sys.executable, "-m", "binperiod", "theory", "--d", str(THEORY_R), "--csv"]
 
 
 def git(tree: Path, *args: str) -> str:
@@ -83,11 +90,17 @@ def tier1_seconds(tree: Path) -> float:
     return elapsed
 
 
-def table_seconds(tree: Path) -> float:
-    elapsed, proc = timed(tree, TABLE)
+def cli_seconds(tree: Path, cmd: list[str]) -> float:
+    elapsed, proc = timed(tree, cmd)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(TABLE[1:])} failed in {tree}:\n{proc.stderr[-2000:]}")
+        raise SystemExit(f"{' '.join(cmd[1:])} failed in {tree}:\n{proc.stderr[-2000:]}")
     return elapsed
+
+
+def write_theory_profile(path: Path) -> None:
+    """THEORY_R seeded probabilities in [0.01, 0.99], one a line, at full precision."""
+    rng = random.Random(THEORY_R)
+    path.write_text("".join(f"{rng.uniform(0.01, 0.99)!r}\n" for _ in range(THEORY_R)))
 
 
 def spread(values: list[float]) -> dict:
@@ -146,11 +159,16 @@ def main(argv=None) -> int:
                 rec = perfbench(trees[side], workload, FIRST_SEED, SECONDS, 1)
                 traced[side][workload] = rec["per_layer"]
 
-    tables = {side: [] for side in trees}
-    for i in range(PAIRS):
-        for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
-            tables[side].append(table_seconds(trees[side]))
-            print(f"table T2 pair {i} {side}: {tables[side][-1]:.2f} s", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        profile = Path(tmp) / "profile.txt"
+        write_theory_profile(profile)
+        commands = {"table_t2_s": TABLE, "theory_b_s": [*THEORY, str(profile)]}
+        walls = {side: {name: [] for name in commands} for side in trees}
+        for name, cmd in commands.items():
+            for i in range(PAIRS):
+                for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
+                    walls[side][name].append(cli_seconds(trees[side], cmd))
+                    print(f"{name} pair {i} {side}: {walls[side][name][-1]:.2f} s", flush=True)
 
     first = {side: next(iter(runs[side].values()))[0] for side in trees}
     out = {
@@ -169,7 +187,7 @@ def main(argv=None) -> int:
             "src_sha256": rec["src_sha256"],
             "src_lines": rec["src_lines"],
             "tier1_s": tier1_seconds(tree),
-            "table_t2_s": spread(tables[side]),
+            **{name: spread(values) for name, values in walls[side].items()},
             "workloads": {
                 w: {**summarise(recs, better), "per_layer": traced[side].get(w)}
                 for w, recs in runs[side].items()

@@ -21,6 +21,7 @@ unit phase: O(d log d) time and no cached state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +74,10 @@ def _as_matrix(x) -> np.ndarray:
     return arr
 
 
-def periodogram_batch(x) -> np.ndarray:
-    """Periodogram ordinates I(omega_1..omega_q) for each row of ``x``."""
-    arr = _as_matrix(x)
-    d = arr.shape[1]
-    coef = np.fft.rfft(arr, axis=1)[:, 1 : (d - 1) // 2 + 1]
+def _ordinates(arr: np.ndarray) -> np.ndarray:
+    """Ordinates I(omega_1..omega_q) along the last axis of a checked array."""
+    d = arr.shape[-1]
+    coef = np.fft.rfft(arr)[..., 1 : (d - 1) // 2 + 1]
     # (coef.real**2 + coef.imag**2) / d bit for bit, but with one fresh array
     # instead of three: at the sampler's 52 x 1259 ordinates each is 0.5 MB,
     # and fresh temporaries of that size cost more than the arithmetic.
@@ -85,6 +85,11 @@ def periodogram_batch(x) -> np.ndarray:
     out += np.square(coef.imag, out=coef.imag)
     out /= d
     return out
+
+
+def periodogram_batch(x) -> np.ndarray:
+    """Periodogram ordinates I(omega_1..omega_q) for each row of ``x``."""
+    return _ordinates(_as_matrix(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +112,8 @@ class GStatistic:
 # The tolerance is far below any statistically meaningful separation.
 _TIE_REL_TOL = 1e-13
 
+_NOT_FINITE = "input has a NaN or infinite value, or overflows when squared"
+
 
 def fisher_g_batch(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Guarded ratio statistic for each row of ``x``.
@@ -122,8 +129,8 @@ def fisher_g_batch(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # its squares overflow, so the check reads one value per row.
     energy = np.einsum("ij,ij->i", arr, arr)
     if not np.isfinite(energy).all():
-        raise ValueError("input has a NaN or infinite value, or overflows when squared")
-    ordinates = periodogram_batch(arr)
+        raise ValueError(_NOT_FINITE)
+    ordinates = _ordinates(arr)
     total = ordinates.sum(axis=1)
     peak = ordinates.max(axis=1)
     near_peak = ordinates >= (peak * (1.0 - _TIE_REL_TOL))[:, None]
@@ -136,10 +143,24 @@ def fisher_g_batch(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def fisher_g(x) -> GStatistic:
-    """Guarded ratio statistic of a single vector."""
-    values, argmax, degenerate = fisher_g_batch(np.asarray(x, dtype=float)[None, :])
-    return GStatistic(
-        value=float(values[0]),
-        argmax_j=int(argmax[0]),
-        degenerate=bool(degenerate[0]),
-    )
+    """Guarded ratio statistic of a single vector.
+
+    Row 0 of ``fisher_g_batch(x[None])`` to the last bit, with the same
+    errors, from the same energy, ordinates and tie rule on the vector alone.
+    """
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("expected a vector")
+    if arr.size < 3:
+        _fold_length(arr.size)
+    energy = np.einsum("i,i->", arr, arr)
+    if not math.isfinite(energy):
+        raise ValueError(_NOT_FINITE)
+    ordinates = _ordinates(arr)
+    total = ordinates.sum()
+    if total <= A_REL_TOL * energy:
+        # On A every ordinate is mathematically zero: all frequencies tie.
+        return GStatistic(value=0.0, argmax_j=1, degenerate=True)
+    peak = ordinates.max()
+    argmax = int((ordinates >= peak * (1.0 - _TIE_REL_TOL)).argmax()) + 1
+    return GStatistic(value=float(peak / total), argmax_j=argmax, degenerate=False)

@@ -35,14 +35,33 @@ __all__ = [
 ]
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing ``n``, by trial division."""
+    primes, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return primes + [n] if n > 1 else primes
+
+
 def effective_period(p) -> int:
-    """Smallest s dividing len(p) such that p is exactly s-periodic."""
+    """Smallest s dividing len(p) such that p is exactly s-periodic.
+
+    The periods dividing r = len(p) are the multiples of the smallest one, so
+    it is found by descent from r: divide by each prime factor while the
+    quotient is still a period. That takes at most Omega(r) + omega(r) tests
+    (prime factors with and without multiplicity), not one per divisor. A NaN
+    equals nothing, so it leaves no proper period.
+    """
     arr = np.asarray(p).ravel()
-    r = arr.size
-    for s in range(1, r):
-        if r % s == 0 and (arr.reshape(-1, s) == arr[:s]).all():
-            return s
-    return r
+    s = arr.size
+    for f in _prime_factors(s):
+        while s % f == 0 and (arr.reshape(-1, s // f) == arr[: s // f]).all():
+            s //= f
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +79,12 @@ class PeriodicProfile:
         arr = np.array(self.p, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("profile must be a non-empty vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+        lo, hi = arr.min(), arr.max()
+        if not (lo >= 0.0 and hi <= 1.0):  # NaN fails both comparisons
             raise ValueError("probability outside [0,1]")
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
-        if np.any((arr == 0.0) | (arr == 1.0)):
+        if lo == 0.0 or hi == 1.0:
             warnings.warn(
                 "profile touches 0 or 1; those positions contribute no variance",
                 stacklevel=3,
@@ -81,21 +101,33 @@ class PeriodicProfile:
         return int(self.p.size)
 
 
-def _coset_means(values: np.ndarray, d: int) -> np.ndarray:
-    """The defining sums (1/r) sum_k values_{i+kd} for i = 1..d.
+# Most scaled terms that one batch of cosets holds as floats, unless a single
+# coset has more: so memory stays near that of one coset, whatever b is.
+_TERMS_PER_BATCH = 1 << 16
 
-    The indices i-1+kd, k = 0..r-1, run over the residue class of i-1 mod
-    b = gcd(r, d) in Z_r, each b times, so only b sums are taken. Each adds
-    b*x as 2^k*x over the set bits k of b; a value in [0, 1] scaled by 2^k
-    is exact, so these terms have the exact sum of b copies of the coset.
-    fsum is exactly rounded, so the order of a sum never changes it: the
-    result is the per-position sum to the last bit, in O(r log b) time.
+
+def _coset_means(p: np.ndarray, b: int) -> tuple[list[float], list[float]]:
+    """The b distinct limits e_1..e_b and v_1..v_b of a profile p of period r.
+
+    The defining sums (1/r) sum_k p_{i+kd}, k = 0..r-1, run over the residue
+    class of i-1 mod b = gcd(r, d) in Z_r, each b times, so e and v are
+    b-periodic and only b sums of each are taken. Each adds b*x as 2^k*x
+    over the set bits k of b; a value in [0, 1] scaled by 2^k is exact, so
+    these terms have the exact sum of b copies of the coset. fsum is exactly
+    rounded, so the order of a sum never changes it: the result is the
+    per-position sum to the last bit, in O(r log b) time. Each value reaches
+    Python once, already scaled, in one ``tolist`` per batch of cosets.
     """
-    r = values.size
-    b = math.gcd(r, d)
+    r = p.size
     powers = [float(1 << k) for k in range(b.bit_length()) if b >> k & 1]
-    sums = [math.fsum([x * s for x in values[c::b].tolist() for s in powers]) for c in range(b)]
-    return (np.array(sums) / r)[np.arange(d) % b]
+    step = max(1, _TERMS_PER_BATCH // (r // b * len(powers)))  # cosets per batch
+    means = []
+    for values in (p, p * (1.0 - p)):
+        cosets = values.reshape(-1, b).T  # row c holds the coset of c
+        for lo in range(0, b, step):
+            terms = np.multiply.outer(cosets[lo : lo + step], powers)
+            means += [math.fsum(row) / r for row in terms.reshape(len(terms), -1).tolist()]
+    return means[:b], means[b:]
 
 
 class PowerRegime(Enum):
@@ -154,15 +186,16 @@ class AsymptoticSummary:
 def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     """Compute e, v, gcd structure, A-membership, and the limit statistic."""
     d = _fold_length(d)
-    p = profile.p
     r = profile.r
     b = math.gcd(r, d)
-    e = _coset_means(p, d)
-    v = _coset_means(p * (1.0 - p), d)
-    shift = 1 - math.frexp(e.max())[1]  # exact as e <= 1; max(e * 2^shift) in [1, 2)
-    es = np.ldexp(e, shift)
-    g = fisher_g(es)
-    head = es[: min(r, d)].tolist()
+    e, v = _coset_means(profile.p, b)
+    shift = 1 - math.frexp(max(e))[1]  # exact as e <= 1; max(e * 2^shift) in [1, 2)
+    es = [math.ldexp(x, shift) for x in e]
+    tiled = np.empty((3, d // b, b))  # e, v and the scaled e, each tiled to length d
+    tiled[:] = np.array([e, v, es])[:, None, :]
+    e_d, v_d, es_d = tiled.reshape(3, d)
+    g = fisher_g(es_d)
+    head = es * (min(r, d) // b)  # e_1..e_min(r,d), scaled: b divides both r and d
     terms = [
         x * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
         for k, x in enumerate(head, start=1)
@@ -171,8 +204,8 @@ def detectability(profile: PeriodicProfile, d: int) -> AsymptoticSummary:
     detect_tol = 1e-10 * math.fsum(abs(x) for x in head) * (d // r + 1)
     detect_nonzero = abs(detect_sum) > detect_tol
     return AsymptoticSummary(
-        e=e,
-        v=v,
+        e=e_d,
+        v=v_d,
         b=b,
         e_in_A=g.degenerate,
         detect_sum=complex(math.ldexp(detect_sum.real, -shift), math.ldexp(detect_sum.imag, -shift)),

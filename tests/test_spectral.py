@@ -221,6 +221,54 @@ def test_ordinates_and_batch_splits_are_bit_identical(d):
     assert np.all(argmax[-3:] == 1)
 
 
+def batch_row_zero(x):
+    """fisher_g_batch on x as a one-row batch: its row 0, or its error text."""
+    try:
+        values, argmax, degenerate = fisher_g_batch(np.asarray(x)[None, :])
+    except ValueError as exc:
+        return str(exc)
+    return float(values[0]).hex(), int(argmax[0]), bool(degenerate[0])
+
+
+def single(x):
+    """fisher_g on x in the form of batch_row_zero, with the result's types."""
+    try:
+        stat = fisher_g(x)
+    except ValueError as exc:
+        return str(exc)
+    assert type(stat.value) is float and type(stat.argmax_j) is int
+    assert type(stat.degenerate) is bool
+    return stat.value.hex(), stat.argmax_j, stat.degenerate
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 12, 60, 129, 257, 1001, 2520])
+def test_fisher_g_is_row_zero_of_the_batch(d):
+    # The one-vector kernel keeps the batch's bits, ties and errors: random
+    # and count/blocks rows, a constant, constant-plus-alternating at even d
+    # and unit spikes (all ordinates tied), at scales 2^-1000..2^1000, where
+    # the largest overflow when squared.
+    rows = ordinate_rows(d)
+    for k in range(-1000, 1001, 50):
+        for x in np.ldexp(rows, k):
+            assert single(x) == batch_row_zero(x), (d, k, x[:3])
+    assert [single(x)[1:] for x in rows[-3:]] == [(1, False)] * 3  # ties go to j = 1
+    for bad in (np.nan, np.inf, -np.inf, 1e200):
+        x = rows[0].copy()
+        x[d // 2] = bad
+        assert single(x) == batch_row_zero(x) == (
+            "input has a NaN or infinite value, or overflows when squared"
+        ), (d, bad)
+
+
+def test_fisher_g_takes_only_a_vector():
+    for x in (np.ones((2, 3)), np.ones((1, 5)), 0.5):
+        with pytest.raises(ValueError, match=r"^expected a vector$"):
+            fisher_g(x)
+    for x in ([], [1.0, 2.0]):
+        with pytest.raises(ValueError, match=r"^d too small \(q would be 0\)$"):
+            fisher_g(x)
+
+
 def _spectral_atol(*ordinate_sets):
     # Shift residue scales with spectral mass; floor the scale at 1.
     return 1e-10 * max(1.0, *(float(v.sum()) for v in ordinate_sets))

@@ -8,7 +8,7 @@ import pytest
 from binperiod.rng import substream
 from binperiod.series import fold
 from binperiod.simulate import simulate_series
-from binperiod.spectral import fisher_g
+from binperiod.spectral import fisher_g, fisher_g_batch
 from binperiod.theory import (
     PeriodicProfile,
     PowerRegime,
@@ -151,6 +151,86 @@ def test_coset_sums_match_per_position_definition():
         assert np.array_equal(summary.v, b_copies_mean(p * (1.0 - p), r)), r
 
 
+def reference_detectability(p, d):
+    """Every AsymptoticSummary field by the direct method, as (type, bits)
+    pairs: e and v as per-position fsums of b copies of each coset, tiled by
+    position mod b, and fisher_g_batch on e scaled by a power of two."""
+    p = np.asarray(p, dtype=float)
+    r = p.size
+    b = math.gcd(r, d)
+    e, v = b_copies_mean(p, d), b_copies_mean(p * (1.0 - p), d)
+    shift = 1 - math.frexp(e.max())[1]
+    es = np.ldexp(e, shift)
+    values, _, degenerate = fisher_g_batch(es[None, :])
+    head = es[: min(r, d)].tolist()
+    terms = [
+        x * cmath.exp(-2j * cmath.pi * k / b) * ((d - k) // r + 1)
+        for k, x in enumerate(head, start=1)
+    ]
+    detect_sum = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    detect_tol = 1e-10 * math.fsum(abs(x) for x in head) * (d // r + 1)
+    return summary_bits(
+        e=e,
+        v=v,
+        b=b,
+        e_in_A=bool(degenerate[0]),
+        detect_sum=complex(math.ldexp(detect_sum.real, -shift), math.ldexp(detect_sum.imag, -shift)),
+        detect_tol=math.ldexp(detect_tol, -shift),
+        detect_nonzero=abs(detect_sum) > detect_tol,
+        limit_g=None if degenerate[0] else float(values[0]),
+    )
+
+
+def summary_bits(**fields):
+    """Each field as its type and its exact bits, so -0.0 differs from 0.0."""
+    def bits(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str, x.tobytes()
+        if isinstance(x, complex):
+            return x.real.hex(), x.imag.hex()
+        return x.hex() if isinstance(x, float) else x
+    return {name: (type(x).__name__, bits(x)) for name, x in fields.items()}
+
+
+def test_summary_fields_match_the_direct_method_bit_for_bit():
+    # The summary is taken from b coset means; the direct method tiles the
+    # per-position sums to length d first. 2,000+ seeded (profile, d) pairs.
+    rng = np.random.default_rng(30)
+    request_ds = (12, 60, 120, 360, 840, 1001)
+
+    def cases():
+        for r in range(1, 13):
+            for d in request_ds:
+                for _ in range(10):
+                    yield rng.uniform(0.0, 1.0, r), d
+                    yield rng.integers(0, 65, r) / 64.0, d
+        for base in (0.5, 1e-6):
+            for k in range(-15, 0):
+                for r in range(2, 13):
+                    for d in (12, 60, 360):
+                        yield base * (1.0 + 10.0**k * rng.uniform(-1, 1, r)), d
+        for d in (5, 6, 10, 60):
+            yield [5e-324] * 5, d
+            yield [1e-200, 2e-200, 3e-200], d
+        for d in (3, 6, 9, 12, 60):
+            yield [0.1, 0.2, 0.3, 0.3, 0.2, 0.1], d
+            yield [0.3, 0.7], d
+        for r in (1000, 1001, 2520):
+            yield rng.uniform(0.0, 1.0, r), r
+
+    pairs = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # non-minimal or touching 0 or 1
+        for p, d in cases():
+            s = detectability(PeriodicProfile(p), d)
+            got = summary_bits(**{name: getattr(s, name) for name in (
+                "e", "v", "b", "e_in_A", "detect_sum", "detect_tol", "detect_nonzero", "limit_g"
+            )})
+            assert got == reference_detectability(p, d), (list(p)[:12], d)
+            pairs += 1
+    assert pairs >= 2000
+
+
 def test_detection_tolerance_reads_only_the_summed_positions():
     # Positions past d have weight 0 in the detection sum, so they must not
     # scale its tolerance: over all 6,000 positions it was 3.0e-7, above
@@ -220,23 +300,30 @@ def test_regimes():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError, match="outside"):
-        PeriodicProfile([0.5, 1.2])
-    with pytest.raises(ValueError, match="non-empty"):
-        PeriodicProfile([])
+    for bad in (np.nan, np.inf, -np.inf, -0.1, 1.1, 1.2):
+        with pytest.raises(ValueError, match=r"^probability outside \[0,1\]$"):
+            PeriodicProfile([0.5, bad, 0.25])
+    for bad in ([], [[0.5, 0.25]], np.full((2, 2), 0.5)):
+        with pytest.raises(ValueError, match="^profile must be a non-empty vector$"):
+            PeriodicProfile(bad)
 
 
 def test_profile_warns_on_boundary_probability():
-    with pytest.warns(UserWarning, match="touches 0 or 1"):
-        PeriodicProfile([0.0, 0.5])
+    for p in ([0.0, 0.5], [0.5, -0.0], [0.5, 1.0], [1.0], [0.0, 1.0, 0.25]):
+        with pytest.warns(UserWarning, match="touches 0 or 1"):
+            PeriodicProfile(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        PeriodicProfile([5e-324, 1 - 2.0**-53, 0.5])
 
 
 def test_profile_warnings_name_the_caller():
     # Not the dataclass-generated __init__ (filename "<string>").
     with pytest.warns(UserWarning) as record:
         PeriodicProfile([0.0, 0.5])
+        PeriodicProfile([0.5, 1.0])
         PeriodicProfile([0.3, 0.6, 0.3, 0.6])
-    assert [w.filename for w in record] == [__file__, __file__]
+    assert [w.filename for w in record] == [__file__] * 3
 
 
 def test_profile_warns_on_non_minimal_period():
@@ -266,6 +353,19 @@ def test_effective_period_matches_definition():
         if rng.random() < 0.2:  # NaN equals nothing, itself included
             arr[rng.integers(r)] = np.nan
         assert effective_period(arr) == by_definition(arr), arr
+    # A period planted at every divisor s of every r up to 200: distinct
+    # values give minimal period s, values from {0, 1/2, 1} often less.
+    for r in range(1, 201):
+        for s in (s for s in range(1, r + 1) if r % s == 0):
+            for base in (rng.uniform(0.0, 1.0, s), rng.integers(0, 3, s) / 2.0):
+                arr = np.resize(base, r)
+                assert effective_period(arr) == by_definition(arr), (r, s, base)
+            assert effective_period(np.resize(rng.uniform(0.0, 1.0, s), r)) == s, (r, s)
+    # Many divisors, a prime and a prime power times one: planted period 2
+    # (which the prime's odd length breaks) and none.
+    for r in (720_720, 999_983, 10**6):
+        for arr in (rng.uniform(0.0, 1.0, r), np.resize([0.25, 0.75], r)):
+            assert effective_period(arr) == by_definition(arr), r
 
 
 def test_fold_means_converge_to_e():
