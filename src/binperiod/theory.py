@@ -103,7 +103,7 @@ class PeriodicProfile:
 
 # Most scaled terms that one batch of cosets holds as floats, unless a single
 # coset has more: so memory stays near that of one coset, whatever b is.
-_TERMS_PER_BATCH = 1 << 16
+_TERMS_PER_BATCH = 1 << 12
 
 
 def _coset_means(p: np.ndarray, b: int) -> tuple[list[float], list[float]]:
