@@ -357,12 +357,12 @@ def test_effective_period_matches_definition():
     # values give minimal period s, values from {0, 1/2, 1} often less.
     for r in range(1, 201):
         for s in (s for s in range(1, r + 1) if r % s == 0):
-            for base in (rng.uniform(0.0, 1.0, s), rng.integers(0, 3, s) / 2.0):
-                arr = np.resize(base, r)
-                assert effective_period(arr) == by_definition(arr), (r, s, base)
-            assert effective_period(np.resize(rng.uniform(0.0, 1.0, s), r)) == s, (r, s)
-    # Many divisors, a prime and a prime power times one: planted period 2
-    # (which the prime's odd length breaks) and none.
+            distinct = np.resize(rng.uniform(0.0, 1.0, s), r)
+            assert effective_period(distinct) == by_definition(distinct) == s, (r, s)
+            coarse = np.resize(rng.integers(0, 3, s) / 2.0, r)
+            assert effective_period(coarse) == by_definition(coarse), (r, s, coarse)
+    # 240 divisors, a prime and 2^6 * 5^6, each with a planted period 2 (which
+    # the prime's odd length breaks) and without.
     for r in (720_720, 999_983, 10**6):
         for arr in (rng.uniform(0.0, 1.0, r), np.resize([0.25, 0.75], r)):
             assert effective_period(arr) == by_definition(arr), r
